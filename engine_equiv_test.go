@@ -276,20 +276,23 @@ func TestEngineOptionValidation(t *testing.T) {
 // require identical outputs, error text, and profile counters. Shape
 // bits 0-3 pick program features; bits 4-5 pick the profile mode and
 // bits 6-7 the sampling rate, so the reduced counter placements face the
-// same fault-anywhere adversary as full instrumentation.
+// same fault-anywhere adversary as full instrumentation. A non-zero
+// heapProbe replaces the generated program with heapProbeSrc's.
 func FuzzEngineEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(0), int64(0))
-	f.Add(int64(2), uint8(1), int64(0))
-	f.Add(int64(3), uint8(2), int64(1000))
-	f.Add(int64(4), uint8(4), int64(0))  // function pointers
-	f.Add(int64(5), uint8(8), int64(0))  // externs
-	f.Add(int64(6), uint8(15), int64(0)) // everything
-	f.Add(int64(7), uint8(15), int64(37))
-	f.Add(int64(8), uint8(5), int64(123456))
-	f.Add(int64(9), uint8(15|1<<4), int64(0))        // minimal mode
-	f.Add(int64(10), uint8(15|2<<4|1<<6), int64(0))  // sampled, rate 1
-	f.Add(int64(11), uint8(15|2<<4|2<<6), int64(93)) // sampled, rate 7, tiny budget
-	f.Fuzz(func(t *testing.T, seed int64, shape uint8, budget int64) {
+	f.Add(int64(1), uint8(0), int64(0), int64(0))
+	f.Add(int64(2), uint8(1), int64(0), int64(0))
+	f.Add(int64(3), uint8(2), int64(1000), int64(0))
+	f.Add(int64(4), uint8(4), int64(0), int64(0))  // function pointers
+	f.Add(int64(5), uint8(8), int64(0), int64(0))  // externs
+	f.Add(int64(6), uint8(15), int64(0), int64(0)) // everything
+	f.Add(int64(7), uint8(15), int64(37), int64(0))
+	f.Add(int64(8), uint8(5), int64(123456), int64(0))
+	f.Add(int64(9), uint8(15|1<<4), int64(0), int64(0))        // minimal mode
+	f.Add(int64(10), uint8(15|2<<4|1<<6), int64(0), int64(0))  // sampled, rate 1
+	f.Add(int64(11), uint8(15|2<<4|2<<6), int64(93), int64(0)) // sampled, rate 7, tiny budget
+	f.Add(int64(12), uint8(0), int64(0), int64(8|3000<<6))     // last 8 heap bytes, past the prefix
+	f.Add(int64(13), uint8(0), int64(0), int64(5))             // load8 straddling the heap's end
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, budget, heapProbe int64) {
 		opts := testgen.Options{
 			Recursion: shape&1 != 0,
 			Pointers:  shape&2 != 0,
@@ -302,6 +305,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 			rate = 0
 		}
 		src := testgen.Generate(seed, opts)
+		if heapProbe != 0 {
+			src = heapProbeSrc(heapProbe)
+		}
 		maxIL := int64(1 << 30)
 		if budget != 0 {
 			if budget < 0 {
@@ -311,4 +317,28 @@ func FuzzEngineEquivalence(f *testing.F) {
 		}
 		runBothEnginesMode(t, src, maxIL, mode, rate)
 	})
+}
+
+// heapProbeSrc is a program that works at the end of runBothEngines's
+// 1 MiB heap, where the allocated prefix, the segment limit and the
+// fault meet. It first grows the heap part way with malloc, then loads,
+// stores and scans a string at back bytes before the heap's end; back
+// below 8 puts the 8-byte accesses across or past the end.
+func heapProbeSrc(probe int64) string {
+	back := probe % 64
+	grow := (probe >> 6) % (1 << 20)
+	return fmt.Sprintf(`extern int malloc(int n);
+extern int strlen(char *s);
+extern int printf(char *f, ...);
+int main() {
+	int *p; char *s;
+	malloc(%d);
+	p = (int*)%d;
+	s = (char*)p;
+	printf("%%d %%d\n", *p, strlen(s));
+	*p = 0x616263;
+	printf("%%d %%d\n", *p, strlen(s));
+	s[1] = 0;
+	return strlen(s) + s[7];
+}`, grow, interp.HeapBase+1<<20-back)
 }

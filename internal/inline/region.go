@@ -49,15 +49,17 @@ func (il *Inliner) planPartial(a *callgraph.Arc) (plan *expandPlan, grow int, de
 	if fn == nil {
 		return nil, 0, "", "callee body unavailable"
 	}
-	snap := fn.Clone()
-	rp, why := planRegion(snap, il.params.MaxCalleeSize)
+	// planRegion only reads the body, so the snapshot is taken only for
+	// the callees that have a region.
+	rp, why := planRegion(fn, il.params.MaxCalleeSize)
 	if rp == nil {
 		return nil, 0, "", why
 	}
+	rp.callee = fn.Clone()
 	// Growth: the region itself, the fallback call, and the bail-out jump.
 	grow = rp.size + 2
 	detail = fmt.Sprintf("hot entry region %d of %d IL; cold paths fall back to %s",
-		rp.size, snap.CodeSize(), snap.Name)
+		rp.size, fn.CodeSize(), fn.Name)
 	return &expandPlan{kind: planPartial, region: rp}, grow, detail, ""
 }
 

@@ -30,17 +30,13 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 	trace := m.opts.Trace
 	mem := m.mem
 
-	// Segment views and fast-path bounds, hoisted out of the loop. The
-	// backing arrays never move during a run (the heap is pre-allocated,
-	// not grown), so loads and stores hit these slices directly; anything
-	// that misses every window falls back to Memory for the exact fault.
-	stackB, globB, heapB := mem.stack, mem.globals, mem.heap
-	stackLim1 := int64(len(stackB)) - 1
-	stackLim8 := int64(len(stackB)) - 8
-	globLim1 := int64(len(globB)) - 1
-	globLim8 := int64(len(globB)) - 8
-	heapLim1 := int64(len(heapB)) - 1
-	heapLim8 := int64(len(heapB)) - 8
+	// Loads and stores that land inside a segment's allocated prefix hit
+	// its slice directly; anything else falls back to Memory, which reads
+	// unallocated bytes as zero, grows a segment on a store, or returns
+	// the exact fault. The stack and heap slices are read through mem at
+	// each access, because a push, an extern call or that fallback can
+	// grow (and so move) them; the globals segment never moves.
+	globB := mem.globals.b
 
 	// Current-frame state in locals; reloaded on call and return.
 	bf := f.bf
@@ -165,26 +161,34 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			pc++
 		case bcLoad1:
 			addr := regs[in.a]
-			if off := addr - StackBase; off >= 0 && off <= stackLim1 {
-				regs[in.dst] = int64(stackB[off])
-			} else if off := addr - HeapBase; off >= 0 && off <= heapLim1 {
-				regs[in.dst] = int64(heapB[off])
-			} else if off := addr - GlobalsBase; off >= 0 && off <= globLim1 {
+			if off := addr - StackBase; uint64(off) < uint64(len(mem.stack.b)) {
+				regs[in.dst] = int64(mem.stack.b[off])
+			} else if off := addr - HeapBase; uint64(off) < uint64(len(mem.heap.b)) {
+				regs[in.dst] = int64(mem.heap.b[off])
+			} else if off := addr - GlobalsBase; uint64(off) < uint64(len(globB)) {
 				regs[in.dst] = int64(globB[off])
 			} else {
-				return 0, fault(pc, (&MemError{Addr: addr, Op: "load1"}).Error())
+				v, err := mem.Load(addr, 1)
+				if err != nil {
+					return 0, fault(pc, err.Error())
+				}
+				regs[in.dst] = v
 			}
 			pc++
 		case bcLoad8:
 			addr := regs[in.a]
-			if off := addr - StackBase; off >= 0 && off <= stackLim8 {
-				regs[in.dst] = int64(binary.LittleEndian.Uint64(stackB[off:]))
-			} else if off := addr - HeapBase; off >= 0 && off <= heapLim8 {
-				regs[in.dst] = int64(binary.LittleEndian.Uint64(heapB[off:]))
-			} else if off := addr - GlobalsBase; off >= 0 && off <= globLim8 {
+			if off := addr - StackBase; off >= 0 && off <= int64(len(mem.stack.b))-8 {
+				regs[in.dst] = int64(binary.LittleEndian.Uint64(mem.stack.b[off:]))
+			} else if off := addr - HeapBase; off >= 0 && off <= int64(len(mem.heap.b))-8 {
+				regs[in.dst] = int64(binary.LittleEndian.Uint64(mem.heap.b[off:]))
+			} else if off := addr - GlobalsBase; off >= 0 && off <= int64(len(globB))-8 {
 				regs[in.dst] = int64(binary.LittleEndian.Uint64(globB[off:]))
 			} else {
-				return 0, fault(pc, (&MemError{Addr: addr, Op: "load8"}).Error())
+				v, err := mem.Load(addr, 8)
+				if err != nil {
+					return 0, fault(pc, err.Error())
+				}
+				regs[in.dst] = v
 			}
 			pc++
 		case bcLoadN:
@@ -196,38 +200,26 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			pc++
 		case bcStore1:
 			addr := regs[in.a]
-			if off := addr - StackBase; off >= 0 && off <= stackLim1 {
-				stackB[off] = byte(regs[in.b])
-				if off+1 > mem.dirtyStack {
-					mem.dirtyStack = off + 1
-				}
-			} else if off := addr - HeapBase; off >= 0 && off <= heapLim1 {
-				heapB[off] = byte(regs[in.b])
-				if off+1 > mem.dirtyHeap {
-					mem.dirtyHeap = off + 1
-				}
-			} else if off := addr - GlobalsBase; off >= 0 && off <= globLim1 {
+			if off := addr - StackBase; uint64(off) < uint64(len(mem.stack.b)) {
+				mem.stack.b[off] = byte(regs[in.b])
+			} else if off := addr - HeapBase; uint64(off) < uint64(len(mem.heap.b)) {
+				mem.heap.b[off] = byte(regs[in.b])
+			} else if off := addr - GlobalsBase; uint64(off) < uint64(len(globB)) {
 				globB[off] = byte(regs[in.b])
-			} else {
-				return 0, fault(pc, (&MemError{Addr: addr, Op: "store1"}).Error())
+			} else if err := mem.Store(addr, 1, regs[in.b]); err != nil {
+				return 0, fault(pc, err.Error())
 			}
 			pc++
 		case bcStore8:
 			addr := regs[in.a]
-			if off := addr - StackBase; off >= 0 && off <= stackLim8 {
-				binary.LittleEndian.PutUint64(stackB[off:], uint64(regs[in.b]))
-				if off+8 > mem.dirtyStack {
-					mem.dirtyStack = off + 8
-				}
-			} else if off := addr - HeapBase; off >= 0 && off <= heapLim8 {
-				binary.LittleEndian.PutUint64(heapB[off:], uint64(regs[in.b]))
-				if off+8 > mem.dirtyHeap {
-					mem.dirtyHeap = off + 8
-				}
-			} else if off := addr - GlobalsBase; off >= 0 && off <= globLim8 {
+			if off := addr - StackBase; off >= 0 && off <= int64(len(mem.stack.b))-8 {
+				binary.LittleEndian.PutUint64(mem.stack.b[off:], uint64(regs[in.b]))
+			} else if off := addr - HeapBase; off >= 0 && off <= int64(len(mem.heap.b))-8 {
+				binary.LittleEndian.PutUint64(mem.heap.b[off:], uint64(regs[in.b]))
+			} else if off := addr - GlobalsBase; off >= 0 && off <= int64(len(globB))-8 {
 				binary.LittleEndian.PutUint64(globB[off:], uint64(regs[in.b]))
-			} else {
-				return 0, fault(pc, (&MemError{Addr: addr, Op: "store8"}).Error())
+			} else if err := mem.Store(addr, 8, regs[in.b]); err != nil {
+				return 0, fault(pc, err.Error())
 			}
 			pc++
 		case bcStoreN:
@@ -288,7 +280,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			if il > maxIL {
 				return 0, fault2(pc, budgetMsg())
 			}
-			regs[in.dst] = int64(stackB[frel+in.imm])
+			regs[in.dst] = int64(mem.stack.b[frel+in.imm])
 			pc++
 		case bcLoadL8:
 			regs[in.a] = base + in.imm
@@ -296,7 +288,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			if il > maxIL {
 				return 0, fault2(pc, budgetMsg())
 			}
-			regs[in.dst] = int64(binary.LittleEndian.Uint64(stackB[frel+in.imm:]))
+			regs[in.dst] = int64(binary.LittleEndian.Uint64(mem.stack.b[frel+in.imm:]))
 			pc++
 		case bcStoreL1:
 			regs[in.a] = base + in.imm
@@ -304,7 +296,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			if il > maxIL {
 				return 0, fault2(pc, budgetMsg())
 			}
-			stackB[frel+in.imm] = byte(regs[in.b])
+			mem.stack.b[frel+in.imm] = byte(regs[in.b])
 			pc++
 		case bcStoreL8:
 			regs[in.a] = base + in.imm
@@ -312,7 +304,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			if il > maxIL {
 				return 0, fault2(pc, budgetMsg())
 			}
-			binary.LittleEndian.PutUint64(stackB[frel+in.imm:], uint64(regs[in.b]))
+			binary.LittleEndian.PutUint64(mem.stack.b[frel+in.imm:], uint64(regs[in.b]))
 			pc++
 		case bcLoadG1:
 			regs[in.a] = in.imm
@@ -511,7 +503,8 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 func (m *Machine) pushBC(depth int, bf *bcFunc, callArgs []int64, retDst int32, sp *int64, st *profile.RunStats) (*bcFrame, error) {
 	fn := bf.fn
 	base := (*sp + 15) &^ 15
-	if base+int64(fn.FrameSize) > int64(m.mem.StackSize()) {
+	end := base + int64(fn.FrameSize)
+	if end > int64(m.mem.StackSize()) {
 		return nil, fmt.Errorf("control stack overflow entering %s (frame %d bytes, used %d of %d)",
 			fn.Name, fn.FrameSize, base, m.mem.StackSize())
 	}
@@ -534,12 +527,9 @@ func (m *Machine) pushBC(depth int, bf *bcFunc, callArgs []int64, retDst int32, 
 	}
 	copy(f.regs[fn.NumRegs:], bf.consts)
 
-	stack := m.mem.stack
-	fr := stack[base : base+int64(fn.FrameSize)]
-	for i := range fr {
-		fr[i] = 0
-	}
-	dirtyEnd := base + int64(fn.FrameSize)
+	m.mem.stack.grow(end)
+	stack := m.mem.stack.b
+	clear(stack[base:end])
 	for i := 0; i < fn.NumParams && i < len(callArgs); i++ {
 		slot := &fn.Slots[i]
 		off := base + int64(slot.Offset)
@@ -547,17 +537,14 @@ func (m *Machine) pushBC(depth int, bf *bcFunc, callArgs []int64, retDst int32, 
 			stack[off] = byte(callArgs[i])
 		} else if off+8 <= int64(len(stack)) {
 			binary.LittleEndian.PutUint64(stack[off:], uint64(callArgs[i]))
-			if off+8 > dirtyEnd {
-				dirtyEnd = off + 8
+		} else {
+			if err := m.mem.Store(StackBase+off, 8, callArgs[i]); err != nil {
+				return nil, err
 			}
-		} else if err := m.mem.Store(StackBase+off, 8, callArgs[i]); err != nil {
-			return nil, err
+			stack = m.mem.stack.b
 		}
 	}
-	if dirtyEnd > m.mem.dirtyStack {
-		m.mem.dirtyStack = dirtyEnd
-	}
-	*sp = base + int64(fn.FrameSize)
+	*sp = end
 	if *sp > st.MaxStack {
 		st.MaxStack = *sp
 	}

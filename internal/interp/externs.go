@@ -3,6 +3,7 @@ package interp
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"unicode/utf8"
@@ -88,7 +89,14 @@ var Externs = map[string]ExternImpl{
 		return m.mem.Alloc(args[0]), nil
 	},
 	"calloc": func(m *Machine, args []int64) (int64, error) {
-		return m.mem.Alloc(args[0] * args[1]), nil // heap is pre-zeroed
+		n, size := args[0], args[1]
+		total := n * size
+		if n != 0 && (total/n != size || (n == -1 && size == math.MinInt64)) {
+			return 0, nil // n*size overflows: NULL, as in C
+		}
+		// Alloc hands out each heap byte once per run, and a byte
+		// nothing has stored to reads as zero.
+		return m.mem.Alloc(total), nil
 	},
 	"free": func(m *Machine, args []int64) (int64, error) {
 		return 0, nil // bump allocator: free is a no-op

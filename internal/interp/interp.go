@@ -167,8 +167,8 @@ type Machine struct {
 }
 
 // NewMachine loads the module. The same machine may Run multiple times
-// with fresh environments via SetEnv+Reset semantics; memory is re-created
-// on each Run.
+// with fresh environments (SetEnv): each Run after the first resets the
+// memory it already holds (Memory.Reset) instead of re-creating it.
 func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 	if opts.StackSize == 0 {
 		opts.StackSize = DefaultStackSize
@@ -456,7 +456,8 @@ func (f *frame) val(v ir.Value) int64 {
 // the new top-of-stack frame.
 func (m *Machine) push(depth int, cf *compiledFunc, callArgs []int64, retDst ir.Reg, sp *int64, st *profile.RunStats) (*frame, error) {
 	base := (*sp + 15) &^ 15
-	if base+int64(cf.fn.FrameSize) > int64(m.mem.StackSize()) {
+	end := base + int64(cf.fn.FrameSize)
+	if end > int64(m.mem.StackSize()) {
 		return nil, fmt.Errorf("control stack overflow entering %s (frame %d bytes, used %d of %d)",
 			cf.fn.Name, cf.fn.FrameSize, base, m.mem.StackSize())
 	}
@@ -478,17 +479,15 @@ func (m *Machine) push(depth int, cf *compiledFunc, callArgs []int64, retDst ir.
 	}
 	// Zero the frame (locals start zeroed for determinism) and store
 	// incoming arguments into the parameter slots.
-	buf, off, _ := m.mem.seg(f.base, int64(cf.fn.FrameSize))
-	for i := int64(0); i < int64(cf.fn.FrameSize); i++ {
-		buf[off+i] = 0
-	}
+	m.mem.stack.grow(end)
+	clear(m.mem.stack.b[base:end])
 	for i := 0; i < cf.fn.NumParams && i < len(callArgs); i++ {
 		slot := cf.fn.Slots[i]
 		if err := m.mem.Store(f.base+int64(slot.Offset), sizeToAccess(slot.Size), callArgs[i]); err != nil {
 			return nil, err
 		}
 	}
-	*sp = base + int64(cf.fn.FrameSize)
+	*sp = end
 	if *sp > st.MaxStack {
 		st.MaxStack = *sp
 	}

@@ -45,9 +45,9 @@ func (e *MemError) Error() string {
 
 // Memory is the flat data memory of a running program.
 type Memory struct {
-	globals []byte
-	stack   []byte
-	heap    []byte
+	globals segment
+	stack   segment
+	heap    segment
 	heapTop int64 // bump pointer (offset into heap)
 
 	globalAddr map[string]int64
@@ -55,13 +55,45 @@ type Memory struct {
 	// initGlobals snapshots the globals segment after relocation so Reset
 	// can restore it without re-running layout.
 	initGlobals []byte
+}
 
-	// dirtyStack and dirtyHeap are high-water marks (exclusive segment
-	// offsets) of bytes that may hold non-zero data, so Reset re-zeroes
-	// only what a run actually touched. Frame zeroing and reads never
-	// raise them; every store path does.
-	dirtyStack int64
-	dirtyHeap  int64
+// segment is one region of the address space, allocated on demand the
+// way an OS maps a page only when it is first used. Every offset below
+// limit is a valid address; b holds the prefix a run has reached so far,
+// and an offset in [len(b), limit) reads as zero until a store reaches
+// it. Bytes in b[len(b):cap(b)] are always zero, so growing within the
+// capacity is a reslice and Reset clears only what a run reached.
+type segment struct {
+	b     []byte
+	limit int64
+}
+
+// minSegment is the first allocation a segment grows to: one page.
+const minSegment = 4 << 10
+
+// grow extends the allocated prefix to cover [0,end), end <= s.limit.
+// It at least doubles the prefix, so a segment that keeps growing is
+// copied O(log size) times.
+func (s *segment) grow(end int64) {
+	n := int64(len(s.b))
+	if end <= n {
+		return
+	}
+	n = min(max(end, 2*n, minSegment), s.limit)
+	if n <= int64(cap(s.b)) {
+		s.b = s.b[:n]
+		return
+	}
+	b := make([]byte, n)
+	copy(b, s.b)
+	s.b = b
+}
+
+// reset zeroes the allocated prefix and empties it, keeping the
+// capacity for the next run.
+func (s *segment) reset() {
+	clear(s.b)
+	s.b = s.b[:0]
 }
 
 // layoutGlobals computes the load address of every global and the total
@@ -84,8 +116,9 @@ func layoutGlobals(mod *ir.Module) (map[string]int64, int) {
 }
 
 // NewMemory lays out the module's globals (applying relocations) and
-// returns initialized memory. funcAddr resolves function names for
-// function-pointer relocations.
+// returns initialized memory. The stack and heap start empty and grow on
+// demand up to stackSize and heapSize bytes. funcAddr resolves function
+// names for function-pointer relocations.
 func NewMemory(mod *ir.Module, stackSize, heapSize int, funcAddr func(string) (int64, bool)) (*Memory, error) {
 	for name := range mod.ExternGlobals {
 		if mod.Global(name) == nil {
@@ -94,14 +127,15 @@ func NewMemory(mod *ir.Module, stackSize, heapSize int, funcAddr func(string) (i
 	}
 	addrs, size := layoutGlobals(mod)
 	m := &Memory{
-		stack:      make([]byte, stackSize),
-		heap:       make([]byte, heapSize),
+		globals:    segment{b: make([]byte, size), limit: int64(size)},
+		stack:      segment{limit: int64(stackSize)},
+		heap:       segment{limit: int64(heapSize)},
 		globalAddr: addrs,
 	}
-	m.globals = make([]byte, size)
+	globals := m.globals.b
 	for _, g := range mod.Globals {
 		base := m.globalAddr[g.Name] - GlobalsBase
-		copy(m.globals[base:], g.Init)
+		copy(globals[base:], g.Init)
 		for _, r := range g.Relocs {
 			var target int64
 			if r.IsFunc {
@@ -117,50 +151,23 @@ func NewMemory(mod *ir.Module, stackSize, heapSize int, funcAddr func(string) (i
 				}
 				target = ga
 			}
-			binary.LittleEndian.PutUint64(m.globals[base+int64(r.Offset):], uint64(target+r.Addend))
+			binary.LittleEndian.PutUint64(globals[base+int64(r.Offset):], uint64(target+r.Addend))
 		}
 	}
-	m.initGlobals = append([]byte(nil), m.globals...)
+	m.initGlobals = append([]byte(nil), globals...)
 	return m, nil
 }
 
 // Reset restores memory to its freshly loaded state: globals come back
-// from the post-relocation snapshot, and the stack and heap extents that
-// any store may have touched are re-zeroed. A Reset memory is
+// from the post-relocation snapshot, and the stack and heap drop back to
+// empty, zeroing only the prefix the run reached. A Reset memory is
 // indistinguishable from a new one, which is what lets a Machine be
 // reused across profiling runs.
 func (m *Memory) Reset() {
-	copy(m.globals, m.initGlobals)
-	if m.dirtyStack > 0 {
-		clearBytes(m.stack[:m.dirtyStack])
-		m.dirtyStack = 0
-	}
-	if m.dirtyHeap > 0 {
-		clearBytes(m.heap[:m.dirtyHeap])
-		m.dirtyHeap = 0
-	}
+	copy(m.globals.b, m.initGlobals)
+	m.stack.reset()
+	m.heap.reset()
 	m.heapTop = 0
-}
-
-func clearBytes(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-// dirty widens the store high-water mark for the segment containing
-// addr. Globals need no tracking: Reset restores them wholesale.
-func (m *Memory) dirty(addr, n int64) {
-	switch {
-	case addr >= HeapBase:
-		if end := addr - HeapBase + n; end > m.dirtyHeap {
-			m.dirtyHeap = end
-		}
-	case addr >= StackBase:
-		if end := addr - StackBase + n; end > m.dirtyStack {
-			m.dirtyStack = end
-		}
-	}
 }
 
 // GlobalAddr returns the load address of a global.
@@ -169,55 +176,68 @@ func (m *Memory) GlobalAddr(name string) (int64, bool) {
 	return a, ok
 }
 
-// seg resolves an address to its backing slice and offset.
-func (m *Memory) seg(addr int64, n int64) ([]byte, int64, bool) {
+// seg resolves [addr, addr+n) to the segment holding it and the offset
+// of addr within it.
+func (m *Memory) seg(addr int64, n int64) (*segment, int64, bool) {
 	switch {
-	case addr >= GlobalsBase && addr+n <= GlobalsBase+int64(len(m.globals)):
-		return m.globals, addr - GlobalsBase, true
-	case addr >= StackBase && addr+n <= StackBase+int64(len(m.stack)):
-		return m.stack, addr - StackBase, true
-	case addr >= HeapBase && addr+n <= HeapBase+int64(len(m.heap)):
-		return m.heap, addr - HeapBase, true
+	case addr >= GlobalsBase && addr+n <= GlobalsBase+m.globals.limit:
+		return &m.globals, addr - GlobalsBase, true
+	case addr >= StackBase && addr+n <= StackBase+m.stack.limit:
+		return &m.stack, addr - StackBase, true
+	case addr >= HeapBase && addr+n <= HeapBase+m.heap.limit:
+		return &m.heap, addr - HeapBase, true
 	}
 	return nil, 0, false
 }
 
-// Load reads size bytes (1 or 8) at addr; byte loads zero-extend.
+// Load reads size bytes (1 or 8) at addr; byte loads zero-extend. Bytes
+// past the allocated prefix read as zero and allocate nothing.
 func (m *Memory) Load(addr int64, size int) (int64, error) {
-	buf, off, ok := m.seg(addr, int64(size))
+	s, off, ok := m.seg(addr, int64(size))
 	if !ok {
 		return 0, &MemError{Addr: addr, Op: fmt.Sprintf("load%d", size)}
 	}
+	b := s.b
 	if size == 1 {
-		return int64(buf[off]), nil
+		if off < int64(len(b)) {
+			return int64(b[off]), nil
+		}
+		return 0, nil
 	}
-	return int64(binary.LittleEndian.Uint64(buf[off:])), nil
+	if off+8 > int64(len(b)) {
+		var w [8]byte
+		if off < int64(len(b)) {
+			copy(w[:], b[off:])
+		}
+		b, off = w[:], 0
+	}
+	return int64(binary.LittleEndian.Uint64(b[off:])), nil
 }
 
 // Store writes size bytes (1 or 8) at addr.
 func (m *Memory) Store(addr int64, size int, v int64) error {
-	buf, off, ok := m.seg(addr, int64(size))
+	s, off, ok := m.seg(addr, int64(size))
 	if !ok {
 		return &MemError{Addr: addr, Op: fmt.Sprintf("store%d", size)}
 	}
-	m.dirty(addr, int64(size))
+	s.grow(off + int64(size))
 	if size == 1 {
-		buf[off] = byte(v)
+		s.b[off] = byte(v)
 		return nil
 	}
-	binary.LittleEndian.PutUint64(buf[off:], uint64(v))
+	binary.LittleEndian.PutUint64(s.b[off:], uint64(v))
 	return nil
 }
 
 // Bytes returns n bytes starting at addr for direct inspection. Callers
-// may write through the returned slice, so the extent counts as dirty.
+// may write through the returned slice, so the extent is allocated.
 func (m *Memory) Bytes(addr, n int64) ([]byte, error) {
-	buf, off, ok := m.seg(addr, n)
+	s, off, ok := m.seg(addr, n)
 	if !ok {
 		return nil, &MemError{Addr: addr, Op: fmt.Sprintf("access %d bytes", n)}
 	}
-	m.dirty(addr, n)
-	return buf[off : off+n], nil
+	s.grow(off + n)
+	return s.b[off : off+n], nil
 }
 
 // cstrBytes returns a read-only view of the NUL-terminated string at
@@ -226,21 +246,25 @@ func (m *Memory) Bytes(addr, n int64) ([]byte, error) {
 // store — callers must finish reading before the program runs again.
 func (m *Memory) cstrBytes(addr int64) ([]byte, error) {
 	const maxLen = 1 << 20
-	buf, off, ok := m.seg(addr, 1)
+	s, off, ok := m.seg(addr, 1)
 	if !ok {
 		return nil, &MemError{Addr: addr, Op: "load1"}
 	}
 	// The string can extend at most to the end of its segment; scanning
 	// the view byte-for-byte matches what repeated 1-byte loads would see.
-	seg := buf[off:]
-	limit := int64(len(seg))
-	if limit > maxLen {
-		limit = maxLen
+	limit := min(s.limit-off, maxLen)
+	var view []byte
+	if off < int64(len(s.b)) {
+		view = s.b[off:]
 	}
-	for i := int64(0); i < limit; i++ {
-		if seg[i] == 0 {
-			return seg[:i], nil
+	for i := int64(0); i < int64(len(view)) && i < limit; i++ {
+		if view[i] == 0 {
+			return view[:i], nil
 		}
+	}
+	if int64(len(view)) < limit {
+		// The byte after the allocated prefix reads as zero: the NUL.
+		return view, nil
 	}
 	if limit == maxLen {
 		return nil, fmt.Errorf("unterminated string at %#x", addr)
@@ -261,28 +285,30 @@ func (m *Memory) CString(addr int64) (string, error) {
 
 // WriteBytes copies data into memory at addr.
 func (m *Memory) WriteBytes(addr int64, data []byte) error {
-	buf, off, ok := m.seg(addr, int64(len(data)))
+	s, off, ok := m.seg(addr, int64(len(data)))
 	if !ok {
 		return &MemError{Addr: addr, Op: fmt.Sprintf("write %d bytes", len(data))}
 	}
-	m.dirty(addr, int64(len(data)))
-	copy(buf[off:], data)
+	s.grow(off + int64(len(data)))
+	copy(s.b[off:], data)
 	return nil
 }
 
-// Alloc carves n bytes from the heap (16-byte aligned); returns 0 when the
-// heap is exhausted, matching malloc's NULL convention.
+// Alloc carves n bytes from the heap (16-byte aligned) and allocates
+// them; it returns 0 when the heap cannot hold them, matching malloc's
+// NULL convention.
 func (m *Memory) Alloc(n int64) int64 {
 	if n <= 0 {
 		n = 1
 	}
 	top := (m.heapTop + 15) &^ 15
-	if top+n > int64(len(m.heap)) {
+	if n > m.heap.limit-top {
 		return 0
 	}
 	m.heapTop = top + n
+	m.heap.grow(m.heapTop)
 	return HeapBase + top
 }
 
 // StackSize returns the stack capacity in bytes.
-func (m *Memory) StackSize() int { return len(m.stack) }
+func (m *Memory) StackSize() int { return int(m.stack.limit) }

@@ -88,6 +88,10 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 		bf.syms = append(bf.syms, s)
 		return int32(len(bf.syms) - 1)
 	}
+	// Each IR instruction emits at most one bytecode, plus the trailing
+	// bcEnd, so both arrays are allocated once at their bound.
+	bf.code = make([]bcInstr, 0, len(code)+1)
+	bf.origPC = make([]int32, 0, len(code)+1)
 	emit := func(origPC int, in bcInstr) {
 		bf.code = append(bf.code, in)
 		bf.origPC = append(bf.origPC, int32(origPC))

@@ -9,6 +9,7 @@ package irgen
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"inlinec/internal/ast"
@@ -43,6 +44,12 @@ type gen struct {
 	strLits map[string]string       // literal value -> global name
 	globals map[*ast.VarDecl]string // global decl -> global name
 	unit    string                  // sanitized unit name for static symbols
+
+	// scratch is the code buffer every function body is generated into.
+	// genFunc copies the finished body out at its exact size and keeps
+	// the buffer for the next function, so growing a body leaves no
+	// discarded arrays behind.
+	scratch []ir.Instr
 
 	// Per-function state.
 	fn        *ir.Func
@@ -252,6 +259,7 @@ func (g *gen) genFunc(fd *ast.FuncDecl) {
 		Name:         g.funcSym(fd),
 		ReturnsValue: !types.IsVoid(fd.Type.Result),
 		SrcLines:     srcLines(fd),
+		Code:         g.scratch[:0],
 	}
 	g.slotOf = make(map[*ast.VarDecl]int)
 	g.userLabel = make(map[string]int)
@@ -273,6 +281,8 @@ func (g *gen) genFunc(fd *ast.FuncDecl) {
 	} else {
 		g.emit(ir.Instr{Op: ir.OpRet, A: ir.None, Pos: fd.Pos()})
 	}
+	g.scratch = g.fn.Code
+	g.fn.Code = slices.Clone(g.fn.Code)
 	g.mod.AddFunc(g.fn)
 	g.fn = nil
 }

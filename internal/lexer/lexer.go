@@ -405,7 +405,10 @@ func (l *Lexer) scanString(pos token.Pos) token.Token {
 // and any lexical errors.
 func ScanAll(file, src string) ([]token.Token, []*Error) {
 	l := New(file, src)
-	var toks []token.Token
+	// Sized for dense code, about two source bytes per token, so the
+	// slice is allocated once instead of through a chain of doublings
+	// whose discarded arrays were the front end's largest garbage.
+	toks := make([]token.Token, 0, len(src)/2+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)

@@ -7,12 +7,14 @@ package inlinec_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"inlinec"
 	"inlinec/internal/bench"
 	"inlinec/internal/interp"
 	"inlinec/internal/profile"
+	"inlinec/internal/testgen"
 )
 
 // dispatchProgs isolates the dispatch loop's distinct cost centers: pure
@@ -123,6 +125,56 @@ func BenchmarkInterpDispatch(b *testing.B) {
 				b.ReportMetric(float64(ilPerRun)*float64(b.N)/b.Elapsed().Seconds(), "IL/s")
 			})
 		}
+	}
+}
+
+// freshRunProgram compiles program 0 of the benchmark's synth-predicted
+// corpus: a 40-function testgen program with every shape option on,
+// which executes a few thousand IL instructions per run.
+func freshRunProgram(tb testing.TB) *inlinec.Program {
+	tb.Helper()
+	src := testgen.Generate(1989, testgen.Options{
+		Funcs: 40, Recursion: true, Pointers: true, FuncPtrs: true,
+		Extern: true, HotColdBodies: true, DominantFuncPtr: true,
+	})
+	p, err := inlinec.Compile("synth.c", src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkProgramRunFresh measures one evaluation run through the
+// public Program.Run, which builds a fresh Machine each time: bytecode
+// translation, memory set-up and execution. Its B/op is what a fresh
+// Machine allocates per run.
+func BenchmarkProgramRunFresh(b *testing.B) {
+	p := freshRunProgram(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Run(inlinec.Input{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestProgramRunFreshAllocatesOnDemand pins demand-grown interpreter
+// memory: a fresh run allocates only the stack and heap prefix it
+// reaches, far below the 64 MiB heap and 4 MiB stack its limits allow.
+func TestProgramRunFreshAllocatesOnDemand(t *testing.T) {
+	p := freshRunProgram(t)
+	if _, err := p.Run(inlinec.Input{}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := p.Run(inlinec.Input{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Errorf("a fresh Program.Run allocated %d bytes, want < 4 MiB", grew)
 	}
 }
 
