@@ -19,9 +19,16 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files instead of c
 // -explain-inline report, the JSONL decision trace, and the final module.
 func espressoExplain(t *testing.T, par int) (report string, jsonl []byte, module string) {
 	t.Helper()
-	b := Get("espresso")
+	return suiteExplain(t, "espresso", par)
+}
+
+// suiteExplain runs one suite benchmark's inline pipeline on its first
+// input at default parameters and returns the same three artifacts.
+func suiteExplain(t *testing.T, name string, par int) (report string, jsonl []byte, module string) {
+	t.Helper()
+	b := Get(name)
 	if b == nil {
-		t.Fatal("espresso benchmark missing")
+		t.Fatalf("%s benchmark missing", name)
 	}
 	p, err := b.Compile()
 	if err != nil {
@@ -45,26 +52,24 @@ func espressoExplain(t *testing.T, par int) (report string, jsonl []byte, module
 	// and every accepted arc (full, partial, or devirtualized) must not.
 	for _, ev := range res.Trace {
 		if !ev.Outcome.IsAccepted() && ev.Reason == obs.ReasonNone {
-			t.Errorf("arc %d (%s <- %s, %s) has no rejection reason",
-				ev.Site, ev.Caller, ev.Callee, ev.Outcome)
+			t.Errorf("%s: arc %d (%s <- %s, %s) has no rejection reason",
+				name, ev.Site, ev.Caller, ev.Callee, ev.Outcome)
 		}
 		if ev.Outcome.IsAccepted() && ev.Reason != obs.ReasonNone {
-			t.Errorf("accepted arc %d (%s <- %s, %s) carries rejection reason %s",
-				ev.Site, ev.Caller, ev.Callee, ev.Outcome, ev.Reason)
+			t.Errorf("%s: accepted arc %d (%s <- %s, %s) carries rejection reason %s",
+				name, ev.Site, ev.Caller, ev.Callee, ev.Outcome, ev.Reason)
 		}
 	}
 	return obs.FormatInlineReport(res.Order, res.Trace), buf.Bytes(), p.Module.String()
 }
 
-// TestEspressoExplainGolden pins the espresso -explain-inline report to a
-// checked-in golden file, so any drift in decisions, rejection reasons,
-// or report formatting is a reviewed diff. Refresh with `go test
-// ./internal/bench -run ExplainGolden -update`.
-func TestEspressoExplainGolden(t *testing.T) {
-	report, _, _ := espressoExplain(t, 1)
-	golden := filepath.Join("testdata", "espresso_explain.golden")
+// checkGolden compares got against testdata/<file>, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", file)
 	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(report), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,8 +77,22 @@ func TestEspressoExplainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report != string(want) {
-		t.Errorf("espresso explain report drifted from %s (run with -update to refresh):\n--- got ---\n%s", golden, report)
+	if got != string(want) {
+		t.Errorf("report drifted from %s (run with -update to refresh):\n--- got ---\n%s", golden, got)
+	}
+}
+
+// TestSuiteExplainGolden pins every suite program's -explain-inline
+// report (first input, Parallelism 1) to a checked-in golden file, so
+// any drift in decisions, rejection reasons, or report formatting is a
+// reviewed diff. Refresh with `go test ./internal/bench -run
+// ExplainGolden -update`.
+func TestSuiteExplainGolden(t *testing.T) {
+	for _, name := range SuiteNames() {
+		t.Run(name, func(t *testing.T) {
+			report, _, _ := suiteExplain(t, name, 1)
+			checkGolden(t, name+"_explain.golden", report)
+		})
 	}
 }
 
@@ -134,19 +153,7 @@ func TestFuncPtrsExplainGolden(t *testing.T) {
 			t.Errorf("funcptrs explain report is missing %q:\n%s", want, report)
 		}
 	}
-	golden := filepath.Join("testdata", "funcptrs_explain.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(report), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report != string(want) {
-		t.Errorf("funcptrs explain report drifted from %s (run with -update to refresh):\n--- got ---\n%s", golden, report)
-	}
+	checkGolden(t, "funcptrs_explain.golden", report)
 }
 
 // TestFuncPtrsExplainDeterministic: guarded expansion's artifacts are

@@ -6,6 +6,8 @@ package inlinec_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -63,8 +65,11 @@ func TestParallelProfilingDeterminism(t *testing.T) {
 }
 
 // TestParallelRunAllDeterminism: RunAll with a worker pool returns results
-// in suite order with the same measurements a serial pass produces. Uses a
-// single capped run per benchmark to keep the suite fast.
+// in suite order with the same measurements a serial pass produces, and
+// the serial tables match testdata/alltables_runs1.golden byte for byte.
+// Uses a single capped run per benchmark to keep the suite fast. Refresh
+// the golden with `go run ./cmd/ilbench -runs 1 -parallel 1 >
+// testdata/alltables_runs1.golden`.
 func TestParallelRunAllDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite comparison is not short")
@@ -95,8 +100,17 @@ func TestParallelRunAllDeterminism(t *testing.T) {
 		}
 	}
 	// The rendered tables — what ilbench prints — must match byte for byte.
-	if st, pt := bench.AllTables(serial), bench.AllTables(parallel); st != pt {
+	st, pt := bench.AllTables(serial), bench.AllTables(parallel)
+	if st != pt {
 		t.Errorf("tables differ between serial and parallel runs:\n%s\nvs\n%s", st, pt)
+	}
+	golden := filepath.Join("testdata", "alltables_runs1.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != string(want) {
+		t.Errorf("serial tables drifted from %s:\n--- got ---\n%s", golden, st)
 	}
 }
 
