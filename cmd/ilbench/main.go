@@ -11,8 +11,6 @@
 //	ilbench -parallel 1  # serial run (default 0 uses every core; same tables)
 //	ilbench -engine switch          # the pre-bytecode oracle interpreter
 //	ilbench -engine both -json      # both engines, one report (perf comparison)
-//	ilbench -profile-mode all       # full/minimal/sampled profiling overhead comparison
-//	ilbench -profile-mode sampled -samplerate 32   # one reduced mode only
 //	ilbench -profile-mode predicted # profile-free: inline with synthesized weights
 //	ilbench -agreement -bench espresso -minagree 80  # predicted-vs-measured decision diff
 //	ilbench -json        # machine-readable results (see BENCH_baseline.json)
@@ -52,8 +50,7 @@ func run(args []string, stdout, stderrW io.Writer) int {
 	maxRuns := fs.Int("runs", 0, "cap profiling runs per benchmark (0 = all)")
 	parallel := fs.Int("parallel", 0, "worker count for benchmarks and profiling runs (0 = all cores, 1 = serial); any value yields identical tables")
 	engine := fs.String("engine", "bytecode", "interpreter engine: bytecode, switch, or both (identical tables; different wall clock)")
-	profileMode := fs.String("profile-mode", "full", "profiling instrumentation: full (alias measured), minimal, sampled, all (every instrumentation mode), or predicted (inline with synthesized weights; zero profiling runs behind the decisions)")
-	sampleRate := fs.Int("samplerate", 0, "1-in-k rate for sampled profiling (0 = default rate)")
+	profileMode := fs.String("profile-mode", "full", "inline weights: full (alias measured) from the profiling runs, or predicted (synthesized; zero profiling runs behind the decisions)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable per-benchmark results instead of the tables")
 	postOpt := fs.Bool("postopt", false, "apply post-inline cleanup passes before measuring")
 	profdbSnaps := fs.Int("profdb", 0, "also run the profile-database pipeline benchmark with this many snapshots (0 = off)")
@@ -131,20 +128,15 @@ func run(args []string, stdout, stderrW io.Writer) int {
 	}
 	cfg.Engine = engines[0]
 
-	var modes []string
 	switch *profileMode {
-	case "", "full", "minimal", "sampled", bench.ModePredicted:
-		modes = []string{*profileMode}
+	case "", bench.ModeFull, bench.ModePredicted:
+		cfg.ProfileMode = *profileMode
 	case "measured":
-		modes = []string{"full"}
-	case "all":
-		modes = []string{"full", "minimal", "sampled"}
+		cfg.ProfileMode = bench.ModeFull
 	default:
-		fmt.Fprintf(stderrW, "ilbench: unknown profile mode %q (want full/measured, minimal, sampled, predicted, or all)\n", *profileMode)
+		fmt.Fprintf(stderrW, "ilbench: unknown profile mode %q (want full/measured or predicted)\n", *profileMode)
 		return 2
 	}
-	cfg.ProfileMode = modes[0]
-	cfg.SampleRate = *sampleRate
 
 	if *ablation {
 		report, err := bench.AblationReport(cfg)
@@ -251,35 +243,30 @@ func run(args []string, stdout, stderrW io.Writer) int {
 			fmt.Fprintf(stderrW, "running %s...\n", name)
 		}
 	}
-outer:
 	for _, eng := range engines {
 		cfg.Engine = eng
-		for _, mode := range modes {
-			cfg.ProfileMode = mode
-			if *benchName != "" {
-				b := bench.Get(*benchName)
-				if b == nil {
-					fmt.Fprintf(stderrW, "ilbench: unknown benchmark %q (have %v)\n", *benchName, bench.SuiteNames())
-					return 2
-				}
-				progress(b.Name)
-				var r *bench.BenchResult
-				r, err = bench.RunOne(b, cfg)
-				if r != nil {
-					results = append(results, r)
-				}
-			} else {
-				var rs []*bench.BenchResult
-				rs, err = bench.RunAll(cfg, progress)
-				results = append(results, rs...)
+		if *benchName != "" {
+			b := bench.Get(*benchName)
+			if b == nil {
+				fmt.Fprintf(stderrW, "ilbench: unknown benchmark %q (have %v)\n", *benchName, bench.SuiteNames())
+				return 2
 			}
-			if err != nil {
-				break outer
+			progress(b.Name)
+			var r *bench.BenchResult
+			r, err = bench.RunOne(b, cfg)
+			if r != nil {
+				results = append(results, r)
 			}
+		} else {
+			var rs []*bench.BenchResult
+			rs, err = bench.RunAll(cfg, progress)
+			results = append(results, rs...)
+		}
+		if err != nil {
+			break
 		}
 	}
 	cfg.Engine = engines[0]
-	cfg.ProfileMode = modes[0]
 	if err != nil {
 		fmt.Fprintf(stderrW, "ilbench: %v\n", err)
 		return 1
@@ -337,9 +324,6 @@ outer:
 		fmt.Fprint(stdout, bench.Table4x(results))
 	default:
 		fmt.Fprint(stdout, bench.AllTables(results))
-	}
-	if t := bench.OverheadTable(results); t != "" {
-		fmt.Fprintf(stdout, "\n%s", t)
 	}
 	for _, r := range pdbResults {
 		fmt.Fprintf(stdout, "\n%s", r)

@@ -107,4 +107,7 @@ func TestBenchBadFlag(t *testing.T) {
 	if code, _, _ := runBench(t, "-nope"); code == 0 {
 		t.Error("unknown flag must fail")
 	}
+	if code, _, _ := runBench(t, "-profile-mode", "all"); code != 2 {
+		t.Errorf("unknown profile mode: exit %d, want 2", code)
+	}
 }

@@ -71,14 +71,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	profdbSrc := fs.String("profdb", "", "use a merged database profile for -inline: a .profdb file or an ilprofd base URL")
 	parallel := fs.Int("parallel", 0, "worker count for multi-unit compilation, profiling, and expansion (0 = all cores, 1 = serial); any value yields identical output")
 	engine := fs.String("engine", "", "interpreter engine for -run/-inline profiling: bytecode (default) or switch; identical output either way")
-	profileMode := fs.String("profile-mode", "", "profile source/instrumentation: full (default), minimal, or sampled select measured instrumentation; measured is an alias for full; predicted synthesizes weights from static features with zero profiling runs; hybrid merges a -profdb snapshot (exact sites measured, moved/dropped/new sites predicted)")
-	sampleRate := fs.Int("samplerate", 0, "1-in-k rate for -profile-mode sampled (0 = default rate)")
+	profileMode := fs.String("profile-mode", "", "where -inline gets its arc weights: measured (the default; alias full) from a profiling run, -profile or -profdb; predicted synthesizes weights from static features with zero profiling runs; hybrid merges a -profdb snapshot (exact sites measured, moved/dropped/new sites predicted)")
 	explainInline := fs.Bool("explain-inline", false, "print the per-arc inline decision report — every arc with its accept/reject reason (implies -inline)")
 	inlineTrace := fs.String("inline-trace", "", "write the inline-decision trace as JSON lines to this file (implies -inline)")
 	tracePath := fs.String("trace", "", "write per-phase timings as Chrome trace-event JSON to this file (load in chrome://tracing or Perfetto)")
 	var files fileList
 	fs.Var(&files, "file", "seed the simulated FS: guestpath=hostpath (repeatable)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	profSource := *profileMode
+	switch profSource {
+	case "measured", "predicted", "hybrid":
+	case "", "full":
+		profSource = "measured"
+	default:
+		fmt.Fprintf(stderr, "ilcc: unknown profile mode %q (want measured/full, predicted, or hybrid)\n", *profileMode)
 		return 2
 	}
 	if *explainInline || *inlineTrace != "" {
@@ -140,21 +148,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
-	// -profile-mode covers two axes: the instrumentation modes
-	// (full/minimal/sampled) flow into the interpreter, while the
-	// profile-source modes (measured/predicted/hybrid) select where
-	// -inline gets its arc weights. The source modes leave the
-	// interpreter on full instrumentation for any run they perform.
-	profSource := ""
-	switch *profileMode {
-	case "measured", "predicted", "hybrid":
-		profSource = *profileMode
-		*profileMode = ""
-	}
 	prog.Parallelism = *parallel
 	prog.Engine = *engine
-	prog.ProfileMode = *profileMode
-	prog.SampleRate = *sampleRate
 
 	if *tco {
 		n, err := prog.EliminateTailCalls()

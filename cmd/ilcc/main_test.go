@@ -416,6 +416,7 @@ func TestCLIPredictModeErrors(t *testing.T) {
 		{"-inline", "-profile-mode", "predicted", "-profdb", dbPath, p},  // predicted takes no measurements
 		{"-inline", "-profile-mode", "predicted", "-profile", dbPath, p}, // ditto for a profile file
 		{"-inline", "-profile-mode", "hybrid", p},                        // hybrid needs a database
+		{"-inline", "-profile-mode", "sampled", p},                       // no such mode
 	}
 	for _, args := range cases {
 		if code, _, _ := runCLI(t, args, ""); code == 0 {

@@ -8,8 +8,6 @@
 //	ilprof -in a.txt -in b.txt prog.c  # one run per -in file
 //	ilprof -sites prog.c < input       # include per-site arc weights
 //	ilprof -o prog.prof prog.c < input # write the profile to a file
-//	ilprof -profile-mode minimal ...   # reduced counters, exact reconstruction
-//	ilprof -profile-mode sampled -samplerate 32 ...  # 1-in-32 counting, approximate
 //	ilprof -db prog.profdb prog.c ...  # also ingest into a profile database
 //	ilprof -post http://host:7411 ...  # also ship the snapshot to ilprofd
 //	ilprof -cpuprofile cpu.pprof ...   # pprof the profiler itself
@@ -78,8 +76,6 @@ func runProfile(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	gen := fs.Int("gen", -1, "generation stamp for -db/-post (-1 = one past the database's newest)")
 	parallel := fs.Int("parallel", 0, "profiling worker count (0 = all cores, 1 = serial); any value yields an identical profile")
 	engine := fs.String("engine", "", "interpreter engine: bytecode (default) or switch; both yield identical profiles")
-	profileMode := fs.String("profile-mode", "", "profiling instrumentation: full (default), minimal (reduced counters, exact reconstruction), or sampled (1-in-k counting, approximate)")
-	sampleRate := fs.Int("samplerate", 0, "1-in-k rate for -profile-mode sampled (0 = default rate)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the profiler itself to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	tracePath := fs.String("trace", "", "write per-phase timings (frontend, profiling runs per worker) as Chrome trace-event JSON to this file")
@@ -150,8 +146,6 @@ func runProfile(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	prog.Parallelism = *parallel
 	prog.Engine = *engine
-	prog.ProfileMode = *profileMode
-	prog.SampleRate = *sampleRate
 
 	var inputs []inlinec.Input
 	if len(ins) == 0 {
@@ -243,15 +237,6 @@ func publish(prog *inlinec.Program, prof *inlinec.Profile, program, dbPath, post
 			fmt.Fprintf(stderr, "ilprof: %v\n", err)
 			return 1
 		}
-		// Mixing counting modes inside one generation is legal (the record
-		// keeps a -1 "mixed" rate marker) but loses the single-number error
-		// bound a uniform sampled generation carries, so say so up front.
-		// Full and minimal profiles are byte-identical by construction, so
-		// the sampling rate is the only observable mode difference.
-		if cur, ok := db.Records[profdb.RecordKey{Fingerprint: rec.Fingerprint, Gen: g}]; ok && cur.SampleRate != rec.SampleRate {
-			fmt.Fprintf(stderr, "ilprof: warning: gen %d already holds %s profile data for this fingerprint; merging %s runs into it makes the combined counts mixed-rate (no uniform error bound)\n",
-				g, rateString(cur.SampleRate), rateString(rec.SampleRate))
-		}
 		if err := db.Ingest(rec); err != nil {
 			fmt.Fprintf(stderr, "ilprof: %v\n", err)
 			return 1
@@ -287,18 +272,6 @@ func publish(prog *inlinec.Program, prof *inlinec.Profile, program, dbPath, post
 		fmt.Fprintf(stderr, "ilprof: posted to %s: %s", postURL, body)
 	}
 	return 0
-}
-
-// rateString names a record's sampling rate for diagnostics.
-func rateString(k int) string {
-	switch {
-	case k == 0:
-		return "exactly-counted"
-	case k > 0:
-		return fmt.Sprintf("1-in-%d sampled", k)
-	default:
-		return "mixed-rate"
-	}
 }
 
 // nextGen picks the generation stamp "one past the newest" so repeated
@@ -436,9 +409,6 @@ func runShow(args []string, stdout, stderr io.Writer) int {
 		trunc := ""
 		if r.Truncated > 0 {
 			trunc = fmt.Sprintf("  [%d truncated]", r.Truncated)
-		}
-		if r.SampleRate != 0 {
-			trunc += fmt.Sprintf("  [%s]", rateString(r.SampleRate))
 		}
 		fmt.Fprintf(stdout, "  %s gen %-3d  %6d run(s)  %4d func(s)  %4d site(s)  IL %d%s\n",
 			k.Fingerprint, k.Gen, r.Runs, len(r.Funcs), len(r.Sites), r.IL, trunc)

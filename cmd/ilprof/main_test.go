@@ -162,41 +162,6 @@ func TestProfilerDatabaseFlow(t *testing.T) {
 	}
 }
 
-// TestProfilerMixedRateWarning: publishing sampled runs into a
-// generation that already holds exactly-counted data (or vice versa)
-// must warn that the combined counts become mixed-rate, while same-rate
-// republishing stays silent.
-func TestProfilerMixedRateWarning(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "p.c")
-	os.WriteFile(p, []byte(prog), 0o644)
-	dbPath := filepath.Join(dir, "p.profdb")
-
-	// First publish: exact counts into gen 0.
-	if code, _, errb := runCLI(t, []string{"-db", dbPath, "-gen", "0", p}, ""); code != 0 {
-		t.Fatalf("exact ingest: exit = %d (%s)", code, errb)
-	}
-	// Same rate again: no warning.
-	if code, _, errb := runCLI(t, []string{"-db", dbPath, "-gen", "0", p}, ""); code != 0 {
-		t.Fatalf("exact re-ingest: exit = %d (%s)", code, errb)
-	} else if strings.Contains(errb, "mixed-rate") {
-		t.Errorf("same-rate republish must not warn: %q", errb)
-	}
-	// Sampled runs into the same generation: warn.
-	code, _, errb := runCLI(t, []string{"-db", dbPath, "-gen", "0", "-profile-mode", "sampled", "-samplerate", "4", p}, "")
-	if code != 0 {
-		t.Fatalf("sampled ingest: exit = %d (%s)", code, errb)
-	}
-	if !strings.Contains(errb, "mixed-rate") || !strings.Contains(errb, "exactly-counted") || !strings.Contains(errb, "1-in-4 sampled") {
-		t.Errorf("mixed-rate warning missing or incomplete: %q", errb)
-	}
-	// show must surface the record's now-mixed rate marker.
-	_, out, _ := runCLI(t, []string{"show", "-db", dbPath}, "")
-	if !strings.Contains(out, "[mixed-rate]") {
-		t.Errorf("show output lacks the mixed-rate marker: %q", out)
-	}
-}
-
 // TestProfilerMergeStaleSource: a database built from one source applied
 // to an edited source must report staleness instead of misattributing.
 func TestProfilerMergeStaleSource(t *testing.T) {

@@ -103,92 +103,6 @@ func TestE2EDatabaseMatchesInProcessProfiling(t *testing.T) {
 	}
 }
 
-// TestE2EMinimalModeDatabaseMatchesFull closes the loop on reduced-mode
-// profiling: profiles collected in minimal mode flow through snapshot,
-// database ingest, and merged resolution, and the database-driven
-// compile is byte-identical — profile, decision list, and rewritten
-// module — to in-process full-mode profiling. Reconstruction exactness
-// composes with the whole fleet pipeline, not just with Profile.Add.
-func TestE2EMinimalModeDatabaseMatchesFull(t *testing.T) {
-	b := bench.Get("espresso")
-	if b == nil {
-		t.Fatal("espresso benchmark missing")
-	}
-	inputs := b.Inputs[:4]
-
-	// Reference: in-process, full instrumentation.
-	ref, err := b.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refProf, err := ref.ProfileInputs(inputs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRes, err := ref.Inline(refProf, inlinec.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Collector: minimal instrumentation, published through the database.
-	coll, err := b.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	coll.ProfileMode = "minimal"
-	collProf, err := coll.ProfileInputs(inputs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if collProf.ProfileEvents >= refProf.ProfileEvents {
-		t.Errorf("minimal mode performed %d profiling events, full %d — no reduction",
-			collProf.ProfileEvents, refProf.ProfileEvents)
-	}
-	db := inlinec.NewProfDB("espresso.c")
-	rec, err := coll.Snapshot(collProf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.SampleRate != 0 {
-		t.Errorf("minimal-mode snapshot carries sample rate %d, want 0 (exact)", rec.SampleRate)
-	}
-	if err := db.Ingest(rec); err != nil {
-		t.Fatal(err)
-	}
-
-	// Consumer: fresh compile, database profile, inline.
-	cons, err := b.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	consProf, report := cons.ProfileFromDB(db, inlinec.DefaultProfDBMergeParams())
-	if !report.Clean() {
-		t.Fatalf("same-version consumption must be clean:\n%s", report)
-	}
-	var want, got strings.Builder
-	if _, err := refProf.WriteTo(&want); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := consProf.WriteTo(&got); err != nil {
-		t.Fatal(err)
-	}
-	if want.String() != got.String() {
-		t.Fatalf("minimal-mode database profile differs from full in-process profile:\n--- full ---\n%s--- minimal via db ---\n%s",
-			want.String(), got.String())
-	}
-	consRes, err := cons.Inline(consProf, inlinec.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decisionList(refRes) != decisionList(consRes) {
-		t.Errorf("decision lists differ:\n--- full ---\n%s--- minimal via db ---\n%s",
-			decisionList(refRes), decisionList(consRes))
-	}
-	if ref.Module.String() != cons.Module.String() {
-		t.Error("inlined modules differ between full in-process and minimal database profiles")
-	}
-}
-
 func TestE2EStaleDatabaseAfterSourceEdit(t *testing.T) {
 	b := bench.Get("espresso")
 	if b == nil {

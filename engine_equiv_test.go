@@ -27,10 +27,6 @@ type engineArtifacts struct {
 }
 
 func collectEngineArtifacts(t *testing.T, src, engine string, par int) engineArtifacts {
-	return collectEngineArtifactsMode(t, src, engine, par, "", 0)
-}
-
-func collectEngineArtifactsMode(t *testing.T, src, engine string, par int, mode string, rate int) engineArtifacts {
 	t.Helper()
 	p, err := Compile("equiv.c", src)
 	if err != nil {
@@ -38,8 +34,6 @@ func collectEngineArtifactsMode(t *testing.T, src, engine string, par int, mode 
 	}
 	p.Engine = engine
 	p.Parallelism = par
-	p.ProfileMode = mode
-	p.SampleRate = rate
 	inputs := []Input{{}, {Stdin: []byte("7\n")}, {Stdin: []byte("1 2 3\n")}, {}}
 	prof, err := p.ProfileInputs(inputs...)
 	if err != nil {
@@ -109,56 +103,10 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalencePerMode extends the cross-engine contract to the
-// reduced profiling modes: within each mode the two engines must stay
-// bit-identical on every artifact, and the minimal mode's artifacts must
-// additionally equal full mode's exactly — flow-conservation
-// reconstruction is exact, so eliding counters may change nothing
-// downstream.
-func TestEngineEquivalencePerMode(t *testing.T) {
-	src := testgen.Generate(2100, testgen.Options{Recursion: true, Pointers: true, FuncPtrs: true, Extern: true, Funcs: 10, MaxStmts: 8})
-	full := collectEngineArtifactsMode(t, src, interp.EngineSwitch, 1, interp.ProfileFull, 0)
-	for _, mode := range []struct {
-		name string
-		rate int
-	}{{interp.ProfileMinimal, 0}, {interp.ProfileSampled, 4}, {interp.ProfileSampled, 1}} {
-		name := mode.name
-		if mode.rate > 0 {
-			name = fmt.Sprintf("%s@%d", mode.name, mode.rate)
-		}
-		t.Run(name, func(t *testing.T) {
-			sw := collectEngineArtifactsMode(t, src, interp.EngineSwitch, 1, mode.name, mode.rate)
-			for _, par := range []int{1, 4} {
-				bc := collectEngineArtifactsMode(t, src, interp.EngineBytecode, par, mode.name, mode.rate)
-				if bc != sw {
-					t.Errorf("engines diverge in mode %s at Parallelism %d:\nprofile equal: %v\njsonl equal: %v\nmodule equal: %v\nstdout equal: %v",
-						mode.name, par, bc.profile == sw.profile, bc.jsonl == sw.jsonl,
-						bc.module == sw.module, bc.stdout == sw.stdout)
-				}
-			}
-			// Minimal reconstruction (and sampled at rate 1, which counts
-			// every event) is exact: every artifact byte-identical to full.
-			if mode.name == interp.ProfileMinimal || mode.rate == 1 {
-				if sw != full {
-					t.Errorf("mode %s diverges from full mode:\nprofile equal: %v\njsonl equal: %v\nmodule equal: %v",
-						name, sw.profile == full.profile, sw.jsonl == full.jsonl, sw.module == full.module)
-				}
-			}
-		})
-	}
-}
-
 // runBothEngines executes one module on both engines with identical
 // options and compares every observable: output streams, error text,
 // and the full RunStats including the per-function and per-site maps.
 func runBothEngines(t *testing.T, src string, maxIL int64) {
-	t.Helper()
-	runBothEnginesMode(t, src, maxIL, "", 0)
-}
-
-// runBothEnginesMode is runBothEngines under an explicit profile mode
-// and sampling rate.
-func runBothEnginesMode(t *testing.T, src string, maxIL int64, mode string, rate int) {
 	t.Helper()
 	p, err := Compile("both.c", src)
 	if err != nil {
@@ -173,7 +121,6 @@ func runBothEnginesMode(t *testing.T, src string, maxIL int64, mode string, rate
 		env.Stdin = []byte("5\n")
 		m, err := interp.NewMachine(p.Module, env, interp.Options{
 			Engine: engine, MaxIL: maxIL, StackSize: 1 << 20, HeapSize: 1 << 20,
-			ProfileMode: mode, SampleRate: rate,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -253,31 +200,16 @@ func TestEngineOptionValidation(t *testing.T) {
 			t.Fatalf("engine %q resolved to %q", engine, m.Engine())
 		}
 	}
-
-	// Profile-mode validation follows the same up-front contract.
-	_, err = interp.NewMachine(p.Module, interp.NewEnv(), interp.Options{ProfileMode: "statistical"})
-	if err == nil || !strings.Contains(err.Error(), "unknown profile mode") {
-		t.Fatalf("want unknown-profile-mode error, got %v", err)
-	}
-	_, err = interp.NewMachine(p.Module, interp.NewEnv(), interp.Options{ProfileMode: interp.ProfileSampled, SampleRate: -3})
-	if err == nil || !strings.Contains(err.Error(), "negative sample rate") {
-		t.Fatalf("want negative-sample-rate error, got %v", err)
-	}
-	for _, mode := range []string{"", interp.ProfileFull, interp.ProfileMinimal, interp.ProfileSampled} {
-		if _, err := interp.NewMachine(p.Module, interp.NewEnv(), interp.Options{ProfileMode: mode}); err != nil {
-			t.Fatalf("profile mode %q: %v", mode, err)
-		}
-	}
 }
 
 // FuzzEngineEquivalence is the differential fuzz target: generate a
 // program from the seed and shape bits, run it on both engines (with a
 // possibly tiny instruction budget, so faults land mid-execution), and
 // require identical outputs, error text, and profile counters. Shape
-// bits 0-3 pick program features; bits 4-5 pick the profile mode and
-// bits 6-7 the sampling rate, so the reduced counter placements face the
-// same fault-anywhere adversary as full instrumentation. A non-zero
-// heapProbe replaces the generated program with heapProbeSrc's.
+// bits 0-3 pick program features. Bits 4-7 once picked a reduced
+// profiling mode and sampling rate; they are now ignored, and kept in
+// the seeds so existing corpora stay valid. A non-zero heapProbe
+// replaces the generated program with heapProbeSrc's.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), int64(0), int64(0))
 	f.Add(int64(2), uint8(1), int64(0), int64(0))
@@ -287,9 +219,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(6), uint8(15), int64(0), int64(0)) // everything
 	f.Add(int64(7), uint8(15), int64(37), int64(0))
 	f.Add(int64(8), uint8(5), int64(123456), int64(0))
-	f.Add(int64(9), uint8(15|1<<4), int64(0), int64(0))        // minimal mode
-	f.Add(int64(10), uint8(15|2<<4|1<<6), int64(0), int64(0))  // sampled, rate 1
-	f.Add(int64(11), uint8(15|2<<4|2<<6), int64(93), int64(0)) // sampled, rate 7, tiny budget
+	f.Add(int64(9), uint8(15|1<<4), int64(0), int64(0))        // bits 4-7 unused
+	f.Add(int64(10), uint8(15|2<<4|1<<6), int64(0), int64(0))  // bits 4-7 unused
+	f.Add(int64(11), uint8(15|2<<4|2<<6), int64(93), int64(0)) // tiny budget
 	f.Add(int64(12), uint8(0), int64(0), int64(8|3000<<6))     // last 8 heap bytes, past the prefix
 	f.Add(int64(13), uint8(0), int64(0), int64(5))             // load8 straddling the heap's end
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, budget, heapProbe int64) {
@@ -298,11 +230,6 @@ func FuzzEngineEquivalence(f *testing.F) {
 			Pointers:  shape&2 != 0,
 			FuncPtrs:  shape&4 != 0,
 			Extern:    shape&8 != 0,
-		}
-		mode := []string{"", interp.ProfileMinimal, interp.ProfileSampled, interp.ProfileSampled}[(shape>>4)&3]
-		rate := []int{0, 1, 7, 100}[(shape>>6)&3]
-		if mode != interp.ProfileSampled {
-			rate = 0
 		}
 		src := testgen.Generate(seed, opts)
 		if heapProbe != 0 {
@@ -315,7 +242,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			}
 			maxIL = 1 + budget%200000
 		}
-		runBothEnginesMode(t, src, maxIL, mode, rate)
+		runBothEngines(t, src, maxIL)
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"inlinec/internal/callgraph"
 	"inlinec/internal/interp"
 	"inlinec/internal/ir"
 	"inlinec/internal/irgen"
@@ -200,8 +199,9 @@ int main() { int i; int s; s = 0; for (i = 0; i < 12; i++) s += work(i); return 
 
 // FuzzReadProfile attacks the legacy ILPROF decoder. The corpus seeds the
 // strict-mode rejections (duplicate directives, duplicate func/site
-// entries, trailing garbage) alongside valid files; the invariant is that
-// anything accepted must round-trip byte-identically through WriteTo.
+// entries, negative counts, trailing garbage) alongside valid files; the
+// invariants are that anything accepted holds no negative count and
+// round-trips byte-identically through WriteTo.
 func FuzzReadProfile(f *testing.F) {
 	valid := "ILPROF 1\nruns 2\nil 100\ncontrol 20\ncalls 10\nreturns 10\nextern 1\nptr 0\nmaxstack 256\ntruncated 0\nfunc main 2\nfunc work 50\nsite 0 50\n"
 	seeds := []string{
@@ -221,6 +221,12 @@ func FuzzReadProfile(f *testing.F) {
 		"runs 1\n",           // missing magic
 		"ILPROF 1\nruns -1\n",
 		"ILPROF 1\n# comment\n\nruns 1\n",
+		valid + "site 4 -100\n",                           // negative arc weight
+		strings.Replace(valid, "calls 10", "calls -3", 1), // negative total
+		valid + "func f -7\n",
+		valid + "target 0 work -1\n",
+		valid + "sampled 32\n", // legacy line: accepted, then dropped
+		valid + "sampled 0\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -232,6 +238,9 @@ func FuzzReadProfile(f *testing.F) {
 		prof, err := profile.ReadProfile(strings.NewReader(data))
 		if err != nil {
 			return
+		}
+		if neg := negativeProfileCount(prof); neg != "" {
+			t.Fatalf("accepted profile holds a negative count: %s", neg)
 		}
 		var first strings.Builder
 		if _, err := prof.WriteTo(&first); err != nil {
@@ -249,9 +258,68 @@ func FuzzReadProfile(f *testing.F) {
 	})
 }
 
+// negativeProfileCount names the first negative count or total in p, or
+// returns "".
+func negativeProfileCount(p *profile.Profile) string {
+	for name, v := range map[string]int64{"runs": int64(p.Runs), "il": p.TotalIL, "control": p.TotalControl,
+		"calls": p.TotalCalls, "returns": p.TotalReturns, "extern": p.TotalExtern, "ptr": p.TotalPtr,
+		"truncated": p.TotalTruncated, "maxstack": p.MaxStack} {
+		if v < 0 {
+			return fmt.Sprintf("%s %d", name, v)
+		}
+	}
+	for f, v := range p.FuncCounts {
+		if v < 0 {
+			return fmt.Sprintf("func %s %d", f, v)
+		}
+	}
+	for id, v := range p.SiteCounts {
+		if v < 0 {
+			return fmt.Sprintf("site %d %d", id, v)
+		}
+	}
+	for id, targets := range p.PtrTargets {
+		for f, v := range targets {
+			if v < 0 {
+				return fmt.Sprintf("target %d %s %d", id, f, v)
+			}
+		}
+	}
+	return ""
+}
+
+// negativeRecordCount is negativeProfileCount for a database record.
+func negativeRecordCount(r *profdb.Record) string {
+	for name, v := range map[string]int64{"runs": int64(r.Runs), "il": r.IL, "control": r.Control,
+		"calls": r.Calls, "returns": r.Returns, "extern": r.Extern, "ptr": r.Ptr,
+		"truncated": r.Truncated, "maxstack": r.MaxStack} {
+		if v < 0 {
+			return fmt.Sprintf("%s %d", name, v)
+		}
+	}
+	for f, v := range r.Funcs {
+		if v < 0 {
+			return fmt.Sprintf("func %s %d", f, v)
+		}
+	}
+	for k, v := range r.Sites {
+		if v < 0 {
+			return fmt.Sprintf("site %s %d", k, v)
+		}
+	}
+	for k, targets := range r.Targets {
+		for f, v := range targets {
+			if v < 0 {
+				return fmt.Sprintf("target %s %s %d", k, f, v)
+			}
+		}
+	}
+	return ""
+}
+
 // FuzzProfDBDecoder attacks the database and snapshot decoders with their
-// stable-key site lines. Accepted input must round-trip byte-identically,
-// and merging whatever was accepted must not panic.
+// stable-key site lines. Accepted input must hold no negative count,
+// round-trip byte-identically, and merge without panicking.
 func FuzzProfDBDecoder(f *testing.F) {
 	validDB := "ILPROFDB 1\nprogram p.c\nrecord aaaa000011112222 0\nruns 2\nil 100\ncalls 10\nfunc main 2\nsite main work 0 00ff00ff 50\nend\nrecord aaaa000011112222 1\nruns 1\nil 60\nend\n"
 	validSnap := "ILPROFSNAP 1\nprogram p.c\nfingerprint aaaa000011112222\ngen 3\nruns 2\nil 100\nfunc main 2\nsite main work 0 00ff00ff 50\n"
@@ -271,6 +339,14 @@ func FuzzProfDBDecoder(f *testing.F) {
 		validSnap + "gen 4\n",                                                                 // duplicate directive
 		"ILPROFDB 2\n",
 		"ILPROFSNAP 1\nprogram p.c\nfingerprint f\ngen 0\nruns 1\nsite a b 0 00000000 1\nsite a b 0 00000000 2\n", // duplicate site
+		validSnap + "site main f 0 1a2b -100\n", // negative arc weight
+		validSnap + "func f -7\n",
+		strings.Replace(validDB, "il 100", "il -100", 1),
+		strings.Replace(validDB, "runs 2", "runs -2", 1),
+		validSnap + "target main work 0 00ff00ff work -30\n",
+		strings.Replace(validDB, "il 60", "il 60\nsamplerate 32", 1), // legacy line: accepted, then dropped
+		validSnap + "samplerate -1\n",
+		validSnap + "samplerate -2\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -280,6 +356,11 @@ func FuzzProfDBDecoder(f *testing.F) {
 			t.Skip()
 		}
 		if db, err := profdb.ReadDB(strings.NewReader(data)); err == nil {
+			for _, rec := range db.Records {
+				if neg := negativeRecordCount(rec); neg != "" {
+					t.Fatalf("accepted database holds a negative count: %s", neg)
+				}
+			}
 			var first strings.Builder
 			if _, err := db.WriteTo(&first); err != nil {
 				t.Fatalf("accepted database does not serialize: %v", err)
@@ -299,6 +380,9 @@ func FuzzProfDBDecoder(f *testing.F) {
 			}
 		}
 		if program, rec, err := profdb.ReadSnapshot(strings.NewReader(data)); err == nil {
+			if neg := negativeRecordCount(rec); neg != "" {
+				t.Fatalf("accepted snapshot holds a negative count: %s", neg)
+			}
 			var first strings.Builder
 			if _, err := profdb.WriteSnapshot(&first, program, rec); err != nil {
 				t.Fatalf("accepted snapshot does not serialize: %v", err)
@@ -311,114 +395,6 @@ func FuzzProfDBDecoder(f *testing.F) {
 			profdb.WriteSnapshot(&second, program2, rec2)
 			if first.String() != second.String() {
 				t.Fatalf("snapshot round trip not a fixed point:\n%s\nvs\n%s", first.String(), second.String())
-			}
-		}
-	})
-}
-
-// FuzzFlowReconstruction is the coverage planner's adversary: build a
-// random call-arc system (direct, pointer, and root arcs with random
-// true counts), instrument it under a random coverage plan — the
-// minimal plan or arbitrary per-equation elision choices — drop the
-// elided counters, reconstruct, and require every counter back exactly.
-// This pins the flow-conservation algebra independently of the
-// interpreter, so a future planner change cannot silently trade
-// exactness for coverage.
-func FuzzFlowReconstruction(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(6), uint8(0))
-	f.Add(int64(2), uint8(1), uint8(0), uint8(0))
-	f.Add(int64(3), uint8(8), uint8(23), uint8(1))
-	f.Add(int64(4), uint8(5), uint8(12), uint8(1))
-	f.Add(int64(5), uint8(2), uint8(20), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, ne, ns, chooseMode uint8) {
-		rng := uint64(seed)*2654435761 + 12345
-		next := func(n int) int {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return int(rng % uint64(n))
-		}
-		n := int(ne)%8 + 1
-		entities := make([]string, n)
-		for i := range entities {
-			entities[i] = fmt.Sprintf("f%d", i)
-		}
-		root := entities[0]
-		rootRuns := int64(next(4))
-
-		numSites := int(ns) % 24
-		sites := make([]callgraph.CoverageSite, 0, numSites)
-		trueSites := make(map[int]int64)
-		trueEntries := make(map[string]int64)
-		truePtr := make(map[string]int64)
-		trueEntries[root] += rootRuns
-		for i := 0; i < numSites; i++ {
-			cnt := int64(next(1000))
-			trueSites[i] = cnt
-			if c := next(n + 1); c == n {
-				// Pointer site: its calls enter some entity, witnessed only
-				// by that entity's pointer-entry counter.
-				sites = append(sites, callgraph.CoverageSite{ID: i})
-				tgt := entities[next(n)]
-				truePtr[tgt] += cnt
-				trueEntries[tgt] += cnt
-			} else {
-				sites = append(sites, callgraph.CoverageSite{ID: i, Callee: entities[c]})
-				trueEntries[entities[c]] += cnt
-			}
-		}
-
-		var plan *callgraph.CoveragePlan
-		if chooseMode%2 == 0 {
-			plan = callgraph.MinimalPlanFor(entities, root, sites)
-			if plan.Elided != n {
-				t.Fatalf("minimal plan elided %d of %d entry counters", plan.Elided, n)
-			}
-		} else {
-			plan = callgraph.NewPlan(entities, root, sites, func(e string, in []int) int {
-				switch next(3) {
-				case 0:
-					return callgraph.ElideEntry
-				case 1:
-					return callgraph.KeepAll
-				default:
-					if len(in) == 0 {
-						return callgraph.ElideEntry
-					}
-					return in[next(len(in))]
-				}
-			})
-		}
-
-		// Observe only the instrumented counters (pointer sites always).
-		obs := callgraph.Counts{
-			Entries:    make(map[string]int64),
-			Sites:      make(map[int]int64),
-			PtrEntries: truePtr,
-			RootRuns:   rootRuns,
-		}
-		for _, e := range entities {
-			if plan.EntryCounted[e] {
-				obs.Entries[e] = trueEntries[e]
-			}
-		}
-		for _, s := range sites {
-			if s.Callee == "" || plan.SiteCounted[s.ID] {
-				obs.Sites[s.ID] = trueSites[s.ID]
-			}
-		}
-
-		plan.Reconstruct(obs)
-		for _, e := range entities {
-			if obs.Entries[e] != trueEntries[e] {
-				t.Errorf("entity %s reconstructed %d, want %d (counted=%v)",
-					e, obs.Entries[e], trueEntries[e], plan.EntryCounted[e])
-			}
-		}
-		for _, s := range sites {
-			if obs.Sites[s.ID] != trueSites[s.ID] {
-				t.Errorf("site %d reconstructed %d, want %d (counted=%v)",
-					s.ID, obs.Sites[s.ID], trueSites[s.ID], plan.SiteCounted[s.ID])
 			}
 		}
 	})

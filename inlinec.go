@@ -215,34 +215,17 @@ type Program struct {
 	// switch engine is retained as the differential-testing oracle.
 	Engine string
 
-	// ProfileMode selects how much profiling instrumentation Run and
-	// ProfileInputs execute: interp.ProfileFull (the default when empty)
-	// counts every arc and entry, interp.ProfileMinimal counts only a
-	// minimum coverage set and reconstructs the rest exactly by flow
-	// conservation, and interp.ProfileSampled additionally counts 1-in-k
-	// events and rescales. Minimal profiles are byte-identical to full
-	// ones; sampled profiles are approximate but an order of magnitude
-	// cheaper to collect. Both engines honor the mode identically.
-	ProfileMode string
-
-	// SampleRate is the 1-in-k rate for interp.ProfileSampled (0 uses
-	// interp.DefaultSampleRate, 1 counts everything). Ignored by the
-	// other modes.
-	SampleRate int
-
 	name string
 }
 
 // machineOpts assembles the interpreter options every execution path
-// shares, so engine and profiling settings cannot diverge between
-// Run/Profile and between workers.
+// shares, so engine settings cannot diverge between Run/Profile and
+// between workers.
 func (p *Program) machineOpts(stackSize int) interp.Options {
 	return interp.Options{
-		StackSize:   stackSize,
-		Obs:         p.Obs,
-		Engine:      p.Engine,
-		ProfileMode: p.ProfileMode,
-		SampleRate:  p.SampleRate,
+		StackSize: stackSize,
+		Obs:       p.Obs,
+		Engine:    p.Engine,
 	}
 }
 
@@ -549,13 +532,6 @@ func (p *Program) profileModule(mod *ir.Module, inputs []Input) (*Profile, error
 		par = len(inputs)
 	}
 	prof := profile.NewProfile()
-	if p.ProfileMode == interp.ProfileSampled {
-		if k := p.SampleRate; k > 1 {
-			prof.SampleRate = k
-		} else if k == 0 {
-			prof.SampleRate = interp.DefaultSampleRate
-		}
-	}
 	if par <= 1 {
 		pw := &profileWorker{p: p, mod: mod}
 		for i, in := range inputs {

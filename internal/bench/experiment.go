@@ -37,27 +37,21 @@ type Config struct {
 	// empty, or "switch"). Both engines produce identical tables; the
 	// wall-clock columns are what differ.
 	Engine string
-	// ProfileMode selects the profiling instrumentation mode ("full", the
-	// default when empty, "minimal", or "sampled"). Full and minimal
-	// produce identical tables; sampled tables are approximate. The
-	// ProfileEvents/WeightErrPct columns record the overhead and accuracy
-	// trade-off. The special mode "predicted" feeds the inline expander
-	// synthesized weights (zero profiling runs behind its decisions) while
-	// the before/after measurements still run fully instrumented — the
-	// configuration the predictor's compile-time cost is tracked under;
-	// its WeightErrPct column reports the predicted-vs-measured total
-	// call-count error.
+	// ProfileMode selects where the inline expander's weights come from:
+	// ModeFull (the default when empty) uses the measured profile, and
+	// ModePredicted feeds it synthesized weights (zero profiling runs
+	// behind its decisions) while the before/after measurements still
+	// run — the configuration the predictor's compile-time cost is
+	// tracked under; its WeightErrPct column reports the
+	// predicted-vs-measured total call-count error.
 	ProfileMode string
-	// SampleRate is the 1-in-k rate for the sampled mode (0 = the
-	// interpreter's default rate).
-	SampleRate int
 }
 
-// ModePredicted is the Config.ProfileMode value that drives the inline
-// expander with synthesized weights (internal/predict) instead of the
-// measured profile. It is a bench-level mode, not an interpreter
-// instrumentation mode: measurements still run ProfileFull.
-const ModePredicted = "predicted"
+// The Config.ProfileMode values.
+const (
+	ModeFull      = "full"
+	ModePredicted = "predicted"
+)
 
 // DefaultConfig mirrors the paper's setup.
 func DefaultConfig() Config {
@@ -73,19 +67,11 @@ type BenchResult struct {
 	InputDesc string
 	// Engine is the interpreter engine the dynamic measurements ran on.
 	Engine string
-	// ProfileMode is the profiling instrumentation mode the measurements
-	// used ("full", "minimal", or "sampled"), with SampleRate the
-	// effective 1-in-k rate when sampled (0 otherwise).
+	// ProfileMode is the resolved Config.ProfileMode (ModeFull or
+	// ModePredicted).
 	ProfileMode string
-	SampleRate  int
-	// ProfileEvents totals the profiling counter increments across both
-	// profiling passes (before and after inlining) — the instrumentation
-	// overhead the reduced modes exist to shrink.
-	ProfileEvents int64
-	// WeightErrPct is the pre-inline profile's total arc-weight error in
-	// percent: |Σ site counts − exact total calls| / exact total calls.
-	// Exactly 0 in full and minimal modes; bounded by the sampling rate
-	// in sampled mode.
+	// WeightErrPct is, in predicted mode, the predicted calls-per-run
+	// total's error in percent against the measured one (0 in full mode).
 	WeightErrPct float64
 
 	// Table 1: benchmark characteristics.
@@ -121,6 +107,14 @@ type BenchResult struct {
 // re-profile, and collect the table rows.
 func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 	start := time.Now()
+	mode := cfg.ProfileMode
+	switch mode {
+	case "":
+		mode = ModeFull
+	case ModeFull, ModePredicted:
+	default:
+		return nil, fmt.Errorf("unknown profile mode %q (want %q or %q)", mode, ModeFull, ModePredicted)
+	}
 	inputs := b.Inputs
 	if cfg.MaxRuns > 0 && len(inputs) > cfg.MaxRuns {
 		inputs = inputs[:cfg.MaxRuns]
@@ -131,15 +125,8 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	predicted := cfg.ProfileMode == ModePredicted
 	p.Parallelism = cfg.Parallelism
 	p.Engine = cfg.Engine
-	if !predicted {
-		// Predicted mode measures with full instrumentation; only the
-		// expander's weights come from the predictor.
-		p.ProfileMode = cfg.ProfileMode
-		p.SampleRate = cfg.SampleRate
-	}
 	before, err := p.ProfileInputs(inputs...)
 	if err != nil {
 		return nil, fmt.Errorf("%s: profiling original: %w", b.Name, err)
@@ -149,30 +136,18 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 	if engine == "" {
 		engine = interp.EngineBytecode
 	}
-	mode := cfg.ProfileMode
-	if mode == "" {
-		mode = interp.ProfileFull
-	}
-	rate := 0
-	if mode == interp.ProfileSampled {
-		rate = cfg.SampleRate
-		if rate == 0 {
-			rate = interp.DefaultSampleRate
-		}
-	}
 	r := &BenchResult{
 		Name:        b.Name,
 		InputDesc:   b.InputDesc,
 		Engine:      engine,
 		ProfileMode: mode,
-		SampleRate:  rate,
 		CLines:      b.CLines(),
 		Runs:        len(inputs),
 		AvgIL:       before.AvgIL(),
 		AvgControl:  before.AvgControl(),
 	}
 	guide := before
-	if predicted {
+	if mode == ModePredicted {
 		guide = p.PredictProfile()
 		// Accuracy column: how far the synthesized calls-per-run total is
 		// from the measured one.
@@ -180,21 +155,6 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 			measuredPerRun := float64(before.TotalCalls) / float64(before.Runs)
 			predictedPerRun := float64(guide.TotalCalls) / float64(guide.Runs)
 			r.WeightErrPct = 100 * math.Abs(predictedPerRun-measuredPerRun) / measuredPerRun
-		}
-	} else {
-		// Arc-weight accuracy: the Calls total stays exact in every mode,
-		// so comparing it against the (possibly rescaled) per-site sum
-		// measures the sampling error directly.
-		var siteSum int64
-		for _, n := range before.SiteCounts {
-			siteSum += n
-		}
-		if before.TotalCalls > 0 {
-			diff := siteSum - before.TotalCalls
-			if diff < 0 {
-				diff = -diff
-			}
-			r.WeightErrPct = 100 * float64(diff) / float64(before.TotalCalls)
 		}
 	}
 
@@ -220,7 +180,6 @@ func RunOne(b *Benchmark, cfg Config) (*BenchResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: profiling inlined: %w", b.Name, err)
 	}
-	r.ProfileEvents = before.ProfileEvents + after.ProfileEvents
 	r.AvgILAfter = after.AvgIL()
 	if before.AvgCalls() > 0 {
 		r.CallDec = (before.AvgCalls() - after.AvgCalls()) / before.AvgCalls()

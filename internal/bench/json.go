@@ -17,24 +17,20 @@ type JSONResult struct {
 	// "switch"). Reports written before the bytecode engine existed omit
 	// it; regression checks treat those rows as engine-agnostic.
 	Engine string `json:"engine,omitempty"`
-	// ProfileMode/SampleRate record the profiling instrumentation the run
-	// used; reports written before reduced-mode profiling omit them, and
-	// regression checks treat those rows as full-mode.
+	// ProfileMode records where the expander's weights came from ("full"
+	// or "predicted"); reports written before profile modes existed omit
+	// it, and regression checks treat those rows as full-mode.
 	ProfileMode string `json:"profile_mode,omitempty"`
-	SampleRate  int    `json:"sample_rate,omitempty"`
-	// ProfileEvents counts profiling counter increments across both
-	// profiling passes; WeightErrPct is the sampled arc-weight error in
-	// percent (0 for the exact modes). Unlike Seconds these are
-	// deterministic, so they are directly comparable across machines.
-	ProfileEvents int64   `json:"profile_events,omitempty"`
-	WeightErrPct  float64 `json:"weight_err_pct,omitempty"`
-	CLines        int     `json:"c_lines"`
-	Runs          int     `json:"runs"`
-	AvgILBefore   float64 `json:"avg_il_before"`
-	AvgILAfter    float64 `json:"avg_il_after"`
-	Expansions    int     `json:"expansions"`
-	CodeIncPct    float64 `json:"code_inc_pct"`
-	CallDecPct    float64 `json:"call_dec_pct"`
+	// WeightErrPct is predicted mode's calls-per-run error in percent
+	// against the measured profile (see BenchResult.WeightErrPct).
+	WeightErrPct float64 `json:"weight_err_pct,omitempty"`
+	CLines       int     `json:"c_lines"`
+	Runs         int     `json:"runs"`
+	AvgILBefore  float64 `json:"avg_il_before"`
+	AvgILAfter   float64 `json:"avg_il_after"`
+	Expansions   int     `json:"expansions"`
+	CodeIncPct   float64 `json:"code_inc_pct"`
+	CallDecPct   float64 `json:"call_dec_pct"`
 	// Seconds is wall-clock and therefore machine- and load-dependent;
 	// compare trends, not digits.
 	Seconds float64 `json:"seconds"`
@@ -92,21 +88,19 @@ func MarshalResultsAgreement(results []*BenchResult, parallelism int, pdb []*Pro
 	}
 	for _, r := range results {
 		rep.Results = append(rep.Results, JSONResult{
-			Name:          r.Name,
-			Engine:        r.Engine,
-			ProfileMode:   r.ProfileMode,
-			SampleRate:    r.SampleRate,
-			ProfileEvents: r.ProfileEvents,
-			WeightErrPct:  r.WeightErrPct,
-			CLines:        r.CLines,
-			Runs:          r.Runs,
-			AvgILBefore:   r.AvgIL,
-			AvgILAfter:    r.AvgILAfter,
-			Expansions:    r.Expansions,
-			CodeIncPct:    100 * r.CodeInc,
-			CallDecPct:    100 * r.CallDec,
-			Seconds:       r.Seconds,
-			Phases:        r.Phases,
+			Name:         r.Name,
+			Engine:       r.Engine,
+			ProfileMode:  r.ProfileMode,
+			WeightErrPct: r.WeightErrPct,
+			CLines:       r.CLines,
+			Runs:         r.Runs,
+			AvgILBefore:  r.AvgIL,
+			AvgILAfter:   r.AvgILAfter,
+			Expansions:   r.Expansions,
+			CodeIncPct:   100 * r.CodeInc,
+			CallDecPct:   100 * r.CallDec,
+			Seconds:      r.Seconds,
+			Phases:       r.Phases,
 		})
 	}
 	out, err := json.MarshalIndent(&rep, "", "  ")
@@ -142,8 +136,7 @@ func CheckRegression(results []*BenchResult, baseline *JSONReport, factor float6
 	// baseline records them, falling back to (name, engine) for
 	// pre-profile-mode reports (e.g. BENCH_pr6.json) and then to the bare
 	// name for pre-engine reports (e.g. BENCH_pr3.json). Fallback rows
-	// measured full-mode profiling, which no reduced mode may fall behind
-	// either, so looser matches only ever tighten the gate.
+	// measured full-mode runs, the same work a full-mode row repeats.
 	base := make(map[string]JSONResult, 2*len(baseline.Results))
 	for _, r := range baseline.Results {
 		switch {
@@ -159,7 +152,7 @@ func CheckRegression(results []*BenchResult, baseline *JSONReport, factor float6
 	for _, r := range results {
 		mode := r.ProfileMode
 		if mode == "" {
-			mode = "full"
+			mode = ModeFull
 		}
 		b, ok := base[r.Name+"\x00"+r.Engine+"\x00"+mode]
 		if !ok {

@@ -147,45 +147,3 @@ func AllTables(results []*BenchResult) string {
 	return Table1(results) + "\n" + Table2(results) + "\n" +
 		Table3(results) + "\n" + Table4(results) + "\n" + Table4x(results)
 }
-
-// OverheadTable renders the profiling-overhead comparison: counter
-// increments and arc-weight error per benchmark and profile mode, with
-// the event-reduction factor relative to the full-mode row of the same
-// benchmark and engine when one is present. Empty unless some result
-// used a reduced mode — single-mode full runs have nothing to compare.
-func OverheadTable(results []*BenchResult) string {
-	reduced := false
-	full := make(map[string]int64)
-	for _, r := range results {
-		if r.ProfileMode != "" && r.ProfileMode != "full" {
-			reduced = true
-		} else {
-			full[r.Name+"\x00"+r.Engine] = r.ProfileEvents
-		}
-	}
-	if !reduced {
-		return ""
-	}
-	var sb strings.Builder
-	sb.WriteString("Profiling overhead by mode (counter increments across both profiling passes).\n")
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "benchmark\tengine\tmode\trate\tevents\tvs full\tweight err")
-	for _, r := range results {
-		mode := r.ProfileMode
-		if mode == "" {
-			mode = "full"
-		}
-		rate := "-"
-		if r.SampleRate > 0 {
-			rate = fmt.Sprintf("1/%d", r.SampleRate)
-		}
-		vs := "-"
-		if f, ok := full[r.Name+"\x00"+r.Engine]; ok && mode != "full" && r.ProfileEvents > 0 {
-			vs = fmt.Sprintf("%.1fx less", float64(f)/float64(r.ProfileEvents))
-		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d\t%s\t%.2f%%\n",
-			r.Name, r.Engine, mode, rate, r.ProfileEvents, vs, r.WeightErrPct)
-	}
-	w.Flush()
-	return sb.String()
-}

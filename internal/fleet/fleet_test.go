@@ -441,6 +441,53 @@ func TestNodeRepairAdoptIfBetter(t *testing.T) {
 	}
 }
 
+// TestNodeIngestRejectsNegativeCounts: /ingest is outside input, and a
+// negative count merged into the store would subtract weight from
+// another client's arcs. Such a payload gets 400 and leaves the store
+// byte-identical.
+func TestNodeIngestRejectsNegativeCounts(t *testing.T) {
+	node := NewNode(profdb.NewDB("n.c"), 0)
+	node.Start()
+	defer node.Stop()
+	srv := httptest.NewServer(node.Handler())
+	defer srv.Close()
+	client := profdb.NewClient(srv.URL)
+	client.Attempts = 1
+	if _, err := client.PostSnapshot("n.c", testRec("aa01", 0, 2, 5)); err != nil {
+		t.Fatal(err)
+	}
+	code, before := httpGet(t, srv.URL+"/db")
+	if code != http.StatusOK {
+		t.Fatalf("GET /db: %d", code)
+	}
+
+	var good bytes.Buffer
+	if _, err := profdb.WriteSnapshot(&good, "n.c", testRec("aa01", 0, 2, 5)); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{
+		strings.Replace(good.String(), "site main work 0 00000011 26", "site main work 0 00000011 -100", 1),
+		strings.Replace(good.String(), "func work 26", "func work -7", 1),
+		strings.Replace(good.String(), "calls 65", "calls -3", 1),
+	} {
+		if bad == good.String() {
+			t.Fatalf("test payload did not change:\n%s", bad)
+		}
+		resp, err := http.Post(srv.URL+"/ingest", "text/plain", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "negative count") {
+			t.Errorf("negative-count ingest: %d %q, want 400 naming the negative count", resp.StatusCode, body)
+		}
+	}
+	if _, after := httpGet(t, srv.URL+"/db"); !bytes.Equal(before, after) {
+		t.Errorf("rejected ingests changed the store:\n--- before ---\n%s--- after ---\n%s", before, after)
+	}
+}
+
 // TestWinnerOrderTotal sanity-checks betterRecord: asymmetric, total,
 // and equality-stable.
 func TestWinnerOrderTotal(t *testing.T) {

@@ -23,7 +23,6 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 	if err != nil {
 		return 0, err
 	}
-	m.rootEntered = true
 	depth++
 
 	maxIL := m.opts.MaxIL
@@ -343,13 +342,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 		case bcCall:
 			ci := &bf.calls[in.aux]
 			calls++
-			if ci.countSite {
-				if m.sampleK <= 1 {
-					m.siteCounts[ci.site]++
-				} else {
-					m.bumpSite(int(ci.site))
-				}
-			}
+			m.siteCounts[ci.site]++
 			callArgs := ci.constArgs
 			if callArgs == nil {
 				callArgs = m.scratchArgs(len(ci.args))
@@ -377,9 +370,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 				return 0, fault(pc, "unimplemented extern "+ci.sym)
 			}
 			externs++
-			if ci.countExtEntry {
-				m.funcCounts[ci.extID]++
-			}
+			m.funcCounts[ci.extID]++
 			rv, err := ci.ext(m, callArgs)
 			if err != nil {
 				if _, isExit := err.(*exitError); isExit {
@@ -396,13 +387,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			ci := &bf.calls[in.aux]
 			calls++
 			ptrs++
-			if ci.countSite {
-				if m.sampleK <= 1 {
-					m.siteCounts[ci.site]++
-				} else {
-					m.bumpSite(int(ci.site))
-				}
-			}
+			m.siteCounts[ci.site]++
 			target := regs[in.a]
 			callArgs := ci.constArgs
 			if callArgs == nil {
@@ -423,9 +408,6 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 				if err != nil {
 					return 0, fault(pc, err.Error())
 				}
-				if m.ptrEntries != nil {
-					m.bumpPtrEntry(int32(pt.user.id))
-				}
 				m.bumpPtrTarget(int(ci.site), pt.user.id)
 				f = nf
 				depth++
@@ -439,11 +421,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			}
 			if pt != nil && pt.ext != nil {
 				externs++
-				if m.ptrEntries == nil {
-					m.funcCounts[pt.id]++
-				} else {
-					m.bumpPtrEntry(pt.id)
-				}
+				m.funcCounts[pt.id]++
 				m.bumpPtrTarget(int(ci.site), int(pt.id))
 				rv, err := pt.ext(m, callArgs)
 				if err != nil {
@@ -548,8 +526,6 @@ func (m *Machine) pushBC(depth int, bf *bcFunc, callArgs []int64, retDst int32, 
 	if *sp > st.MaxStack {
 		st.MaxStack = *sp
 	}
-	if bf.countEntry {
-		m.funcCounts[bf.id]++
-	}
+	m.funcCounts[bf.id]++
 	return f, nil
 }

@@ -54,14 +54,6 @@ type Options struct {
 	// Engine selects the execution engine: EngineBytecode (the default
 	// when empty) or EngineSwitch.
 	Engine string
-	// ProfileMode selects how much profiling instrumentation runs:
-	// ProfileFull (the default when empty), ProfileMinimal, or
-	// ProfileSampled. See profmode.go.
-	ProfileMode string
-	// SampleRate is the 1-in-k event sampling rate for ProfileSampled
-	// (0 = DefaultSampleRate, 1 = count everything). Ignored by the other
-	// modes.
-	SampleRate int
 }
 
 // compiledFunc caches per-function interpretation tables. All name and
@@ -123,34 +115,12 @@ type Machine struct {
 	// Per-target counters for pointer call sites: ptrSiteIdx maps a
 	// call-site id to a compact pointer-site index (-1 for direct sites),
 	// ptrSiteIDs is the reverse map, and ptrTargetCounts is the flat
-	// [site index][dense function id] histogram. These are exact in every
-	// profile mode — never masked or sampled — because devirtualization
-	// needs true dominance fractions and minimal-mode profiles must stay
-	// byte-identical to full-mode ones. They are excluded from
-	// ProfileEvents.
+	// [site index][dense function id] histogram that devirtualization
+	// reads its dominance fractions from.
 	ptrSiteIdx      []int32
 	ptrSiteIDs      []int32
 	ptrTargetCounts []int64
 	ptrStride       int
-
-	// Profile-mode state (profmode.go). profileMode is the resolved
-	// Options.ProfileMode; sampleK the resolved 1-in-k rate (1 = exact).
-	// entryCount/siteCount are the coverage plan's counter masks (nil in
-	// full mode: everything counted); ptrEntries counts pointer-call
-	// entries per dense id in the reduced modes; siteSkip/ptrSkip are the
-	// deterministic sampling skip counters; recon holds the dense
-	// flow-conservation steps finalizeCounts replays; rootEntered records
-	// whether the run's initial push succeeded (the one entry per run no
-	// call arc witnesses).
-	profileMode string
-	sampleK     int64
-	entryCount  []bool
-	siteCount   []bool
-	ptrEntries  []int64
-	siteSkip    []int64
-	ptrSkip     []int64
-	recon       []denseRecon
-	rootEntered bool
 
 	// frames/bframes are the pooled activation-record stacks, reused
 	// across calls and runs so the hot loop performs no per-call
@@ -273,13 +243,6 @@ func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 	m.ptrStride = len(m.funcCounts)
 	m.ptrTargetCounts = make([]int64, len(m.ptrSiteIDs)*m.ptrStride)
 
-	// Resolve the profile mode before translation: the bytecode
-	// translator reads the counter masks to elide counter updates on
-	// uninstrumented arcs.
-	if err := m.initProfileMode(); err != nil {
-		return nil, err
-	}
-
 	switch opts.Engine {
 	case "", EngineBytecode:
 		m.engine = EngineBytecode
@@ -352,7 +315,6 @@ func (m *Machine) RunInto(st *profile.RunStats) error {
 	for i := range m.ptrTargetCounts {
 		m.ptrTargetCounts[i] = 0
 	}
-	m.resetProfileCounters()
 
 	var code int64
 	var err error
@@ -361,7 +323,6 @@ func (m *Machine) RunInto(st *profile.RunStats) error {
 	} else {
 		code, err = m.exec(mainFn, nil, st)
 	}
-	m.finalizeCounts(st)
 	m.foldCounts(st)
 	defer m.recordRun(st)
 	// A clean run unwinds every activation: one return per counted call,
@@ -398,8 +359,6 @@ func (m *Machine) recordRun(st *profile.RunStats) {
 	reg.Counter("interp_extern_calls_total", "Dynamic calls to external routines.").Add(st.ExternCalls)
 	reg.Counter("interp_ptr_calls_total", "Dynamic calls through pointers.").Add(st.PtrCalls)
 	reg.Counter("interp_truncated_runs_total", "Runs ended by exit() without unwinding.").Add(st.Truncated)
-	reg.Counter("profile_events_counted_total", "Profiling counter increments performed, by profile mode.",
-		"mode", m.profileMode).Add(st.ProfileEvents)
 	reg.Gauge("interp_max_stack_bytes", "High-water control-stack bytes across runs.").SetMax(float64(st.MaxStack))
 }
 
@@ -426,8 +385,7 @@ func (m *Machine) foldCounts(st *profile.RunStats) {
 	}
 }
 
-// bumpPtrTarget counts one resolved target at a pointer call site. Exact
-// in every profile mode (see the field comment on ptrTargetCounts).
+// bumpPtrTarget counts one resolved target at a pointer call site.
 func (m *Machine) bumpPtrTarget(site, tid int) {
 	if pi := m.ptrSiteIdx[site]; pi >= 0 {
 		m.ptrTargetCounts[int(pi)*m.ptrStride+tid]++
@@ -491,7 +449,7 @@ func (m *Machine) push(depth int, cf *compiledFunc, callArgs []int64, retDst ir.
 	if *sp > st.MaxStack {
 		st.MaxStack = *sp
 	}
-	m.bumpEntry(cf.id)
+	m.funcCounts[cf.id]++
 	return f, nil
 }
 
@@ -505,7 +463,6 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 	if err != nil {
 		return 0, err
 	}
-	m.rootEntered = true
 	depth++
 
 	maxIL := m.opts.MaxIL
@@ -596,11 +553,7 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 			}
 		case ir.OpCall:
 			st.Calls++
-			if m.siteCount == nil {
-				m.siteCounts[in.CallID]++
-			} else {
-				m.bumpSite(in.CallID)
-			}
+			m.siteCounts[in.CallID]++
 			callArgs := m.scratchArgs(len(in.Args))
 			for i, a := range in.Args {
 				callArgs[i] = f.val(a)
@@ -621,7 +574,7 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 				return 0, &RuntimeError{Func: f.cf.fn.Name, Pos: in.Pos, Msg: "unimplemented extern " + in.Sym}
 			}
 			st.ExternCalls++
-			m.bumpEntry(ct.id)
+			m.funcCounts[ct.id]++
 			rv, err := ct.ext(m, callArgs)
 			if err != nil {
 				if _, isExit := err.(*exitError); isExit {
@@ -637,11 +590,7 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 		case ir.OpCallPtr:
 			st.Calls++
 			st.PtrCalls++
-			if m.siteCount == nil {
-				m.siteCounts[in.CallID]++
-			} else {
-				m.bumpSite(in.CallID)
-			}
+			m.siteCounts[in.CallID]++
 			target := f.val(in.A)
 			callArgs := m.scratchArgs(len(in.Args))
 			for i, a := range in.Args {
@@ -653,9 +602,6 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 				if err != nil {
 					return 0, &RuntimeError{Func: f.cf.fn.Name, Pos: in.Pos, Msg: err.Error()}
 				}
-				if m.ptrEntries != nil {
-					m.bumpPtrEntry(int32(callee.id))
-				}
 				m.bumpPtrTarget(in.CallID, callee.id)
 				f = nf
 				depth++
@@ -663,11 +609,7 @@ func (m *Machine) exec(entry *compiledFunc, args []int64, st *profile.RunStats) 
 			}
 			if et, isExt := m.extByAddr[target]; isExt {
 				st.ExternCalls++
-				if m.ptrEntries == nil {
-					m.funcCounts[et.id]++
-				} else {
-					m.bumpPtrEntry(int32(et.id))
-				}
+				m.funcCounts[et.id]++
 				m.bumpPtrTarget(in.CallID, et.id)
 				rv, err := et.impl(m, callArgs)
 				if err != nil {

@@ -16,8 +16,7 @@ func (m *Machine) translate(cfs []*compiledFunc, fuse bool) {
 	m.bfuncs = make(map[string]*bcFunc, len(cfs))
 	bfs := make([]*bcFunc, len(cfs))
 	for i, cf := range cfs {
-		bf := &bcFunc{fn: cf.fn, id: cf.id,
-			countEntry: m.entryCount == nil || m.entryCount[cf.id]}
+		bf := &bcFunc{fn: cf.fn, id: cf.id}
 		bfs[i] = bf
 		m.bfuncs[cf.fn.Name] = bf
 	}
@@ -241,8 +240,7 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 			emit(pc, bcInstr{op: bcBr, a: operand(in.A)})
 			patches = append(patches, patch{len(bf.code) - 1, cf.branchPC[pc]})
 		case ir.OpCall, ir.OpCallPtr:
-			info := bcCallInfo{site: int32(in.CallID), dst: int32(in.Dst), sym: in.Sym,
-				countSite: m.siteCount == nil || m.siteCount[in.CallID]}
+			info := bcCallInfo{site: int32(in.CallID), dst: int32(in.Dst), sym: in.Sym}
 			if in.Op == ir.OpCall {
 				ct := &cf.callees[pc]
 				if ct.user != nil {
@@ -250,7 +248,6 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 				} else {
 					info.ext = ct.ext
 					info.extID = int32(ct.id)
-					info.countExtEntry = m.entryCount == nil || m.entryCount[ct.id]
 				}
 			}
 			info.args = make([]int32, len(in.Args))

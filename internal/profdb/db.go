@@ -41,13 +41,6 @@ type Record struct {
 	// behind guarded devirtualization. Absent for direct sites, so old
 	// databases without target lines parse — and re-serialize — as-is.
 	Targets map[SiteKey]map[string]int64
-
-	// SampleRate records how the runs behind this record were counted:
-	// 0 means exact (full or minimal profile mode), k > 0 means sampled
-	// 1-in-k and rescaled, and -1 means runs with differing rates were
-	// merged into one record, so the effective rate is no longer a single
-	// number. It combines, never sums.
-	SampleRate int
 }
 
 // NewRecord returns an empty record for one (fingerprint, generation).
@@ -96,7 +89,6 @@ func (r *Record) add(o *Record) {
 			r.addTarget(k, t, n)
 		}
 	}
-	r.SampleRate = combineSampleRates(r.SampleRate, o.SampleRate, r.Runs-o.Runs, o.Runs)
 }
 
 // sortedTargetKeys returns the site keys with per-target data in on-disk
@@ -110,23 +102,6 @@ func (r *Record) sortedTargetKeys() []SiteKey {
 	}
 	sort.Slice(keys, func(i, j int) bool { return siteKeyLess(keys[i], keys[j]) })
 	return keys
-}
-
-// combineSampleRates merges the sampling rates of two run populations:
-// an empty side adopts the other's rate, equal rates keep it, and
-// differing rates collapse to -1 (mixed). The rule is commutative and
-// associative, so ingestion order cannot change the result.
-func combineSampleRates(a, b int, aRuns, bRuns int) int {
-	switch {
-	case aRuns <= 0:
-		return b
-	case bRuns <= 0:
-		return a
-	case a == b:
-		return a
-	default:
-		return -1
-	}
 }
 
 // sortedSiteKeys returns the record's site keys in on-disk order.
@@ -326,12 +301,6 @@ func (r *Record) Resolve(keys *KeyMap) (*profile.Profile, *ResolveStats) {
 	prof.TotalPtr = r.Ptr
 	prof.TotalTruncated = r.Truncated
 	prof.MaxStack = r.MaxStack
-	// Mixed-rate records (-1) resolve as exact: the counts were already
-	// rescaled at collection time, so no further scaling applies and the
-	// profile carries a rate only when a single one describes all runs.
-	if r.SampleRate > 0 {
-		prof.SampleRate = r.SampleRate
-	}
 
 	stats := &ResolveStats{ExactIDs: make(map[int]bool)}
 	for _, k := range r.sortedSiteKeys() {
@@ -466,7 +435,6 @@ func (db *DB) mergeAt(fingerprint string, maxGen int, p MergeParams) (*Record, *
 	funcs := make(map[string]float64)
 	sites := make(map[SiteKey]float64)
 	targets := make(map[SiteKey]map[string]float64)
-	includedRuns := 0
 	for _, key := range db.sortedKeys() {
 		rec := db.Records[key]
 		stats.Records++
@@ -486,8 +454,6 @@ func (db *DB) mergeAt(fingerprint string, maxGen int, p MergeParams) (*Record, *
 			stats.ExactRecords++
 			stats.ExactRuns += rec.Runs
 		}
-		out.SampleRate = combineSampleRates(out.SampleRate, rec.SampleRate, includedRuns, rec.Runs)
-		includedRuns += rec.Runs
 		runs += w * float64(rec.Runs)
 		il += w * float64(rec.IL)
 		control += w * float64(rec.Control)

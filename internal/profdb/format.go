@@ -31,7 +31,6 @@ import (
 //	ptr <n>
 //	truncated <n>
 //	maxstack <n>
-//	samplerate <k>          (optional; k>0 sampled, -1 mixed, omitted exact)
 //	func <name> <total-count>
 //	site <caller> <callee> <ordinal> <poshash> <total-count>
 //	target <caller> <callee> <ordinal> <poshash> <target-func> <total-count>
@@ -50,7 +49,11 @@ import (
 // Records are sorted by (fingerprint, gen), funcs by name, and sites by
 // key, so a database's serialization is a pure function of its contents.
 // Decoding is strict — duplicate directives, duplicate entries, unknown
-// directives, and malformed fields are line-numbered errors.
+// directives, malformed fields, and negative counts are line-numbered
+// errors. Older files may carry a `samplerate <k>` body line (k >= -1, at
+// most once per record), left by a since-removed sampling profiler; the
+// reader checks it as strictly as ever and then drops it, and the writer
+// never emits it.
 
 const (
 	dbMagic   = "ILPROFDB 1"
@@ -105,11 +108,6 @@ func writeRecordBody(sb *strings.Builder, rec *Record) {
 	fmt.Fprintf(sb, "ptr %d\n", rec.Ptr)
 	fmt.Fprintf(sb, "truncated %d\n", rec.Truncated)
 	fmt.Fprintf(sb, "maxstack %d\n", rec.MaxStack)
-	// Exact records (rate 0) omit the directive so historical databases
-	// keep their bytes; -1 persists the mixed-rate marker.
-	if rec.SampleRate != 0 {
-		fmt.Fprintf(sb, "samplerate %d\n", rec.SampleRate)
-	}
 	for _, name := range rec.sortedFuncNames() {
 		fmt.Fprintf(sb, "func %s %d\n", name, rec.Funcs[name])
 	}
@@ -168,6 +166,16 @@ func (d *decoder) num(s string) (int64, error) {
 	return v, nil
 }
 
+// count parses a count or total, which is never negative: a negative
+// value ingested into a store would subtract weight from merged arcs.
+func (d *decoder) count(s string) (int64, error) {
+	v, err := d.num(s)
+	if err == nil && v < 0 {
+		return 0, d.errf("negative count %d", v)
+	}
+	return v, err
+}
+
 // scalarFields maps record-body directives onto record fields.
 func scalarFields(rec *Record) map[string]*int64 {
 	return map[string]*int64{
@@ -189,7 +197,7 @@ func (d *decoder) readBodyLine(fields []string, rec *Record, seen map[string]int
 			return true, d.errf("duplicate %q directive (first on line %d)", "runs", prev)
 		}
 		seen["runs"] = d.lineNo
-		v, err := d.num(fields[1])
+		v, err := d.count(fields[1])
 		if err != nil {
 			return true, err
 		}
@@ -210,8 +218,7 @@ func (d *decoder) readBodyLine(fields []string, rec *Record, seen map[string]int
 		if v < -1 {
 			return true, d.errf("bad samplerate %d (want -1, 0, or a positive rate)", v)
 		}
-		rec.SampleRate = int(v)
-		return true, nil
+		return true, nil // legacy: validated, then dropped
 	case "il", "control", "calls", "returns", "extern", "ptr", "truncated", "maxstack":
 		if len(fields) != 2 {
 			return true, d.errf("malformed %q", strings.Join(fields, " "))
@@ -220,7 +227,7 @@ func (d *decoder) readBodyLine(fields []string, rec *Record, seen map[string]int
 			return true, d.errf("duplicate %q directive (first on line %d)", fields[0], prev)
 		}
 		seen[fields[0]] = d.lineNo
-		v, err := d.num(fields[1])
+		v, err := d.count(fields[1])
 		if err != nil {
 			return true, err
 		}
@@ -233,7 +240,7 @@ func (d *decoder) readBodyLine(fields []string, rec *Record, seen map[string]int
 		if _, dup := rec.Funcs[fields[1]]; dup {
 			return true, d.errf("duplicate func entry %q", fields[1])
 		}
-		v, err := d.num(fields[2])
+		v, err := d.count(fields[2])
 		if err != nil {
 			return true, err
 		}
@@ -251,7 +258,7 @@ func (d *decoder) readBodyLine(fields []string, rec *Record, seen map[string]int
 		if err != nil {
 			return true, d.errf("bad poshash %q", fields[4])
 		}
-		v, err := d.num(fields[5])
+		v, err := d.count(fields[5])
 		if err != nil {
 			return true, err
 		}
@@ -273,7 +280,7 @@ func (d *decoder) readBodyLine(fields []string, rec *Record, seen map[string]int
 		if err != nil {
 			return true, d.errf("bad poshash %q", fields[4])
 		}
-		v, err := d.num(fields[6])
+		v, err := d.count(fields[6])
 		if err != nil {
 			return true, err
 		}
@@ -478,7 +485,6 @@ func SnapshotOf(prof *profile.Profile, mod *ir.Module, gen int) (*Record, error)
 	rec.Ptr = prof.TotalPtr
 	rec.Truncated = prof.TotalTruncated
 	rec.MaxStack = prof.MaxStack
-	rec.SampleRate = prof.SampleRate
 
 	ids := make([]int, 0, len(prof.SiteCounts))
 	for id := range prof.SiteCounts {

@@ -31,10 +31,8 @@ type RunStats struct {
 	// FuncCounts maps a function name to its entry count (node weights).
 	FuncCounts map[string]int64
 	// PtrTargets maps a pointer call-site id to its resolved-target
-	// histogram (target function name -> invocation count). Targets are
-	// counted exactly in every profile mode — the devirtualization
-	// decision needs true dominance fractions, and a masked or sampled
-	// histogram would break the minimal==full byte-identity contract.
+	// histogram (target function name -> invocation count), from which
+	// the devirtualization decision reads its dominance fractions.
 	PtrTargets map[int]map[string]int64
 	// ExternCalls counts dynamic calls whose callee body is unavailable.
 	ExternCalls int64
@@ -48,13 +46,6 @@ type RunStats struct {
 	// exit()-style termination that unwound no frames. Truncated runs skew
 	// averaged arc weights, so merges count them instead of hiding them.
 	Truncated int64
-	// ProfileEvents is the number of counter-increment events the profiler
-	// actually performed during the run — the instrumentation overhead the
-	// minimal and sampled profile modes exist to shrink. It is a
-	// measurement about the profiler, not the program, so it is excluded
-	// from serialized profiles (reconstructed minimal profiles stay
-	// byte-identical to full ones).
-	ProfileEvents int64
 }
 
 // NewRunStats returns an empty, initialized RunStats.
@@ -96,20 +87,10 @@ type Profile struct {
 	SiteCounts     map[int]int64
 	FuncCounts     map[string]int64
 	// PtrTargets accumulates per-target counts for pointer call sites
-	// (site id -> target function name -> total count across runs). Exact
-	// in every profile mode; see RunStats.PtrTargets.
+	// (site id -> target function name -> total count across runs); see
+	// RunStats.PtrTargets.
 	PtrTargets map[int]map[string]int64
 	MaxStack   int64
-	// ProfileEvents totals the counter-increment events across runs (see
-	// RunStats.ProfileEvents). Not serialized.
-	ProfileEvents int64
-	// SampleRate is the 1-in-k sampling rate the counts were collected at:
-	// 0 for exact profiles (full and minimal modes), k > 0 for sampled
-	// profiles whose site weights were rescaled by k on finalize. Carried
-	// through serialization and the profile database so consumers can
-	// reason about the error bound (each active site under-reports by at
-	// most k-1 events per run).
-	SampleRate int
 }
 
 // NewProfile returns an empty profile.
@@ -131,7 +112,6 @@ func (p *Profile) Add(rs *RunStats) {
 	p.TotalExtern += rs.ExternCalls
 	p.TotalPtr += rs.PtrCalls
 	p.TotalTruncated += rs.Truncated
-	p.ProfileEvents += rs.ProfileEvents
 	for id, n := range rs.SiteCounts {
 		p.SiteCounts[id] += n
 	}

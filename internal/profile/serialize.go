@@ -31,12 +31,12 @@ import (
 // decoder is strict: every scalar directive may appear at most once, each
 // func/site entry at most once, and any malformed or trailing field is a
 // line-numbered error — a corrupt or concatenated profile must never
-// silently last-write-win its way into the expander's arc weights.
-// `truncated` (runs whose Returns != Calls) is optional on input for
-// compatibility with pre-existing files. `sampled <k>` marks a profile
-// collected at a 1-in-k sampling rate (counts already rescaled by k); it
-// is written only when k > 0, so exact profiles — including reconstructed
-// minimal-mode ones — serialize byte-identically to full-mode profiles.
+// silently last-write-win its way into the expander's arc weights. No
+// count or total may be negative. `truncated` (runs whose Returns !=
+// Calls) is optional on input for compatibility with pre-existing files.
+// Older files may carry a `sampled <k>` line (k > 0, at most once), left
+// by a since-removed sampling profiler; the reader checks it as strictly
+// as ever and then drops it, and the writer never emits it.
 
 const profileMagic = "ILPROF 1"
 
@@ -53,9 +53,6 @@ func (p *Profile) WriteTo(w io.Writer) (int64, error) {
 	fmt.Fprintf(&sb, "ptr %d\n", p.TotalPtr)
 	fmt.Fprintf(&sb, "maxstack %d\n", p.MaxStack)
 	fmt.Fprintf(&sb, "truncated %d\n", p.TotalTruncated)
-	if p.SampleRate > 0 {
-		fmt.Fprintf(&sb, "sampled %d\n", p.SampleRate)
-	}
 
 	names := make([]string, 0, len(p.FuncCounts))
 	for n := range p.FuncCounts {
@@ -125,6 +122,13 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 			}
 			return v, nil
 		}
+		count := func(s string) (int64, error) {
+			v, err := num(s)
+			if err == nil && v < 0 {
+				return 0, fmt.Errorf("profile: line %d: negative count %d", lineNo, v)
+			}
+			return v, err
+		}
 		switch fields[0] {
 		case "runs", "il", "control", "calls", "returns", "extern", "ptr", "maxstack", "truncated", "sampled":
 			if len(fields) != 2 {
@@ -135,7 +139,18 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 					lineNo, fields[0], prev)
 			}
 			seenScalar[fields[0]] = lineNo
-			v, err := num(fields[1])
+			if fields[0] == "sampled" {
+				// Legacy: validated as before, then dropped.
+				v, err := num(fields[1])
+				if err != nil {
+					return nil, err
+				}
+				if v <= 0 {
+					return nil, fmt.Errorf("profile: line %d: non-positive sampled rate %d", lineNo, v)
+				}
+				continue
+			}
+			v, err := count(fields[1])
 			if err != nil {
 				return nil, err
 			}
@@ -158,19 +173,12 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 				p.MaxStack = v
 			case "truncated":
 				p.TotalTruncated = v
-			case "sampled":
-				// The writer only emits positive rates, so anything else
-				// would not round-trip to the same bytes.
-				if v <= 0 {
-					return nil, fmt.Errorf("profile: line %d: non-positive sampled rate %d", lineNo, v)
-				}
-				p.SampleRate = int(v)
 			}
 		case "func":
 			if len(fields) != 3 {
 				return nil, bad()
 			}
-			v, err := num(fields[2])
+			v, err := count(fields[2])
 			if err != nil {
 				return nil, err
 			}
@@ -186,7 +194,7 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 			if err != nil {
 				return nil, err
 			}
-			v, err := num(fields[2])
+			v, err := count(fields[2])
 			if err != nil {
 				return nil, err
 			}
@@ -202,7 +210,7 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 			if err != nil {
 				return nil, err
 			}
-			v, err := num(fields[3])
+			v, err := count(fields[3])
 			if err != nil {
 				return nil, err
 			}

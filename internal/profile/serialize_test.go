@@ -88,3 +88,21 @@ func TestReadProfileToleratesCommentsAndBlanks(t *testing.T) {
 		t.Errorf("parsed %+v", p)
 	}
 }
+
+// TestReadProfileRejectsNegativeCounts: no count or total may be
+// negative; the error names the offending line.
+func TestReadProfileRejectsNegativeCounts(t *testing.T) {
+	const head = "ILPROF 1\nruns 2\n"
+	for _, c := range []struct{ in, want string }{
+		{head + "site 4 -100\n", "line 3: negative count -100"},
+		{head + "calls -3\n", "line 3: negative count -3"},
+		{head + "func f -7\n", "line 3: negative count -7"},
+		{head + "target 4 f -1\n", "line 3: negative count -1"},
+		{"ILPROF 1\nruns -1\n", "line 2: negative count -1"},
+	} {
+		_, err := ReadProfile(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ReadProfile(%q) = %v, want error containing %q", c.in, err, c.want)
+		}
+	}
+}

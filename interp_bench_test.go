@@ -235,8 +235,8 @@ func TestBytecodeDispatchZeroAlloc(t *testing.T) {
 }
 
 // profilingWorkerZeroAllocCases extends TestBytecodeDispatchZeroAlloc
-// with the profiling worker's reuse contract in every instrumentation
-// mode: refreshing a warm Env the way profileModule's workers do —
+// with the profiling worker's reuse contract: refreshing a warm Env the
+// way profileModule's workers do —
 // Reset, clear and re-populate Files with the input's own slices
 // (shared, never copied), swap Stdin — and re-running the machine
 // performs zero steady-state heap allocations.
@@ -250,53 +250,42 @@ int main() {
 }`
 	files := map[string][]byte{"in.txt": []byte("shared input bytes\n")}
 	stdin := []byte("profiling worker stdin")
-	for _, mode := range []struct {
-		name string
-		opts interp.Options
-	}{
-		{"full", interp.Options{}},
-		{"minimal", interp.Options{ProfileMode: interp.ProfileMinimal}},
-		{"sampled", interp.Options{ProfileMode: interp.ProfileSampled, SampleRate: 8}},
-	} {
-		t.Run("worker/"+mode.name, func(t *testing.T) {
-			p, err := inlinec.Compile("worker.c", src)
-			if err != nil {
+	t.Run("worker/full", func(t *testing.T) {
+		p, err := inlinec.Compile("worker.c", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := interp.NewEnv()
+		m, err := interp.NewMachine(p.Module, env, interp.Options{Engine: interp.EngineBytecode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := profile.NewRunStats()
+		refresh := func() {
+			env.Reset()
+			clear(env.Files)
+			for k, v := range files {
+				env.Files[k] = v
+			}
+			env.Stdin = stdin
+		}
+		// Two warm runs settle lazily grown buffers before measuring.
+		for i := 0; i < 2; i++ {
+			refresh()
+			if err := m.RunInto(st); err != nil {
 				t.Fatal(err)
 			}
-			opts := mode.opts
-			opts.Engine = interp.EngineBytecode
-			env := interp.NewEnv()
-			m, err := interp.NewMachine(p.Module, env, opts)
-			if err != nil {
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			refresh()
+			if err := m.RunInto(st); err != nil {
 				t.Fatal(err)
-			}
-			st := profile.NewRunStats()
-			refresh := func() {
-				env.Reset()
-				clear(env.Files)
-				for k, v := range files {
-					env.Files[k] = v
-				}
-				env.Stdin = stdin
-			}
-			// Two warm runs settle lazily grown buffers before measuring.
-			for i := 0; i < 2; i++ {
-				refresh()
-				if err := m.RunInto(st); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(5, func() {
-				refresh()
-				if err := m.RunInto(st); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("steady-state profiling run allocates %.1f objects/run, want 0", allocs)
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Errorf("steady-state profiling run allocates %.1f objects/run, want 0", allocs)
+		}
+	})
 }
 
 // BenchmarkProfileSuite measures the multi-run profiling pipeline (the

@@ -57,19 +57,15 @@ func transformAt(t *testing.T, src string, par int, inputs []Input) (*Program, *
 //     at Parallelism 1, 2, and 8 (region plans are snapshotted during
 //     serial selection, so waves cannot race).
 //  2. Program output is byte-identical to the original under both
-//     interpreter engines and all three profile modes — the guards are
-//     plain IL, so no engine needs to know the features exist.
+//     interpreter engines — the guards are plain IL, so no engine needs
+//     to know the features exist.
 //  3. Fallback counters are exact: a devirtualized site keeps its
 //     original call id on the CALLPTR fallback, so its transformed
-//     full-profile count must equal the base count minus the dominant
+//     profile count must equal the base count minus the dominant
 //     target's count, and the residual target histogram must be the
-//     base histogram with the dominant entry removed. Per-target
-//     histograms are exact even in sampled mode.
+//     base histogram with the dominant entry removed.
 //  4. A partially inlined site's fallback fires at most as often as the
 //     original call did.
-//  5. Minimal-mode profiles of the transformed module serialize
-//     byte-identically to full mode — flow-conservation reconstruction
-//     stays exact across the new guard diamonds.
 //
 // An aggregate assertion at the end requires that both features
 // actually fired across the seed set, so the suite cannot rot into
@@ -85,7 +81,6 @@ func TestPropertyPartialDevirtDifferential(t *testing.T) {
 		{Funcs: 8, HotColdBodies: true, DominantFuncPtr: true, Extern: true},
 	}
 	inputs := []Input{{}, {}, {}}
-	const sampleK = 8
 
 	var totalPartial, totalDevirt int64
 	t.Run("seeds", func(t *testing.T) {
@@ -129,101 +124,55 @@ func TestPropertyPartialDevirtDifferential(t *testing.T) {
 				atomic.AddInt64(&totalPartial, int64(len(partial)))
 				atomic.AddInt64(&totalDevirt, int64(len(devirt)))
 
-				// Reference serialization of the transformed module's full
-				// profile, for the minimal-mode byte-identity check.
-				profileAs := func(engine, mode string, rate int) *Profile {
-					t.Helper()
-					ref.Engine, ref.ProfileMode, ref.SampleRate = engine, mode, rate
+				for _, engine := range []string{interp.EngineBytecode, interp.EngineSwitch} {
+					ref.Engine = engine
+
+					// (2) Output byte-identity on every input.
+					for i, in := range inputs {
+						out, err := ref.Run(in)
+						if err != nil {
+							t.Fatalf("run transformed (engine %s): %v", engine, err)
+						}
+						if out.Stdout != want[i] {
+							t.Errorf("output diverged (engine %s, input %d)\nwant %q\ngot  %q\nsource:\n%s",
+								engine, i, want[i], out.Stdout, src)
+						}
+					}
+
 					prof, err := ref.ProfileInputs(inputs...)
 					if err != nil {
-						t.Fatalf("profile transformed (engine %s, mode %s): %v", engine, mode, err)
+						t.Fatalf("profile transformed (engine %s): %v", engine, err)
 					}
-					return prof
-				}
-				serialize := func(p *Profile) string {
-					var sb strings.Builder
-					if _, err := p.WriteTo(&sb); err != nil {
-						t.Fatal(err)
+
+					// (3) Devirt fallback counters.
+					for _, ev := range devirt {
+						dom, domCount, _ := base.DominantTarget(ev.Site)
+						wantFallback := base.SiteCounts[ev.Site] - domCount
+						if got := prof.SiteCounts[ev.Site]; got != wantFallback {
+							t.Errorf("devirt site %d fallback count %d, want %d (= %d base - %d dominant %s) (engine %s)",
+								ev.Site, got, wantFallback, base.SiteCounts[ev.Site], domCount, dom, engine)
+						}
+						if got := prof.PtrTargets[ev.Site][dom]; got != 0 {
+							t.Errorf("devirt site %d still resolves %d calls to dominant %s (engine %s)",
+								ev.Site, got, dom, engine)
+						}
+						for tgt, n := range base.PtrTargets[ev.Site] {
+							if tgt == dom {
+								continue
+							}
+							if got := prof.PtrTargets[ev.Site][tgt]; got != n {
+								t.Errorf("devirt site %d residual target %s count %d, want %d (engine %s)",
+									ev.Site, tgt, got, n, engine)
+							}
+						}
 					}
-					return sb.String()
-				}
-				tfull := profileAs(interp.EngineBytecode, interp.ProfileFull, 0)
-				refSerial := serialize(tfull)
 
-				for _, engine := range []string{interp.EngineBytecode, interp.EngineSwitch} {
-					for _, mode := range []string{interp.ProfileFull, interp.ProfileMinimal, interp.ProfileSampled} {
-						rate := 0
-						if mode == interp.ProfileSampled {
-							rate = sampleK
-						}
-						ref.Engine, ref.ProfileMode, ref.SampleRate = engine, mode, rate
-
-						// (2) Output byte-identity on every input.
-						for i, in := range inputs {
-							out, err := ref.Run(in)
-							if err != nil {
-								t.Fatalf("run transformed (engine %s, mode %s): %v", engine, mode, err)
-							}
-							if out.Stdout != want[i] {
-								t.Errorf("output diverged (engine %s, mode %s, input %d)\nwant %q\ngot  %q\nsource:\n%s",
-									engine, mode, i, want[i], out.Stdout, src)
-							}
-						}
-
-						prof := profileAs(engine, mode, rate)
-						switch mode {
-						case interp.ProfileFull, interp.ProfileMinimal:
-							// (5) Exact modes serialize byte-identically.
-							if got := serialize(prof); got != refSerial {
-								t.Errorf("%s/%s profile of transformed module not byte-identical to full:\n%s\nvs\n%s",
-									engine, mode, refSerial, got)
-							}
-						case interp.ProfileSampled:
-							bound := int64((sampleK - 1) * len(inputs))
-							for id, exact := range tfull.SiteCounts {
-								if got := prof.SiteCounts[id]; got > exact || exact-got > bound {
-									t.Errorf("sampled site %d count %d outside [%d-%d, %d] (engine %s)",
-										id, got, exact, bound, exact, engine)
-								}
-							}
-						}
-
-						// (3) Devirt fallback counters: exact in every mode for
-						// the per-target histogram, exact in exact modes for the
-						// site counter.
-						for _, ev := range devirt {
-							dom, domCount, _ := base.DominantTarget(ev.Site)
-							wantFallback := base.SiteCounts[ev.Site] - domCount
-							if mode != interp.ProfileSampled {
-								if got := prof.SiteCounts[ev.Site]; got != wantFallback {
-									t.Errorf("devirt site %d fallback count %d, want %d (= %d base - %d dominant %s) (engine %s, mode %s)",
-										ev.Site, got, wantFallback, base.SiteCounts[ev.Site], domCount, dom, engine, mode)
-								}
-							}
-							if got := prof.PtrTargets[ev.Site][dom]; got != 0 {
-								t.Errorf("devirt site %d still resolves %d calls to dominant %s (engine %s, mode %s)",
-									ev.Site, got, dom, engine, mode)
-							}
-							for tgt, n := range base.PtrTargets[ev.Site] {
-								if tgt == dom {
-									continue
-								}
-								if got := prof.PtrTargets[ev.Site][tgt]; got != n {
-									t.Errorf("devirt site %d residual target %s count %d, want %d (engine %s, mode %s)",
-										ev.Site, tgt, got, n, engine, mode)
-								}
-							}
-						}
-
-						// (4) Partial fallback never fires more often than the
-						// original call.
-						if mode != interp.ProfileSampled {
-							for _, ev := range partial {
-								if got := prof.SiteCounts[ev.Site]; got > base.SiteCounts[ev.Site] {
-									t.Errorf("partial site %d fallback count %d exceeds original %d (engine %s, mode %s)",
-										ev.Site, got, base.SiteCounts[ev.Site], engine, mode)
-								}
-							}
+					// (4) Partial fallback never fires more often than the
+					// original call.
+					for _, ev := range partial {
+						if got := prof.SiteCounts[ev.Site]; got > base.SiteCounts[ev.Site] {
+							t.Errorf("partial site %d fallback count %d exceeds original %d (engine %s)",
+								ev.Site, got, base.SiteCounts[ev.Site], engine)
 						}
 					}
 				}
