@@ -2,6 +2,9 @@ package inlinec
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -318,37 +321,24 @@ func negativeRecordCount(r *profdb.Record) string {
 }
 
 // FuzzProfDBDecoder attacks the database and snapshot decoders with their
-// stable-key site lines. Accepted input must hold no negative count,
-// round-trip byte-identically, and merge without panicking.
+// stable-key site lines. Accepted input must hold no negative count or
+// generation, round-trip byte-identically, and merge without panicking.
+// The seeds live in internal/profdb/testdata/decoder_seeds.txt, which the
+// codec's oracle test reads too.
 func FuzzProfDBDecoder(f *testing.F) {
-	validDB := "ILPROFDB 1\nprogram p.c\nrecord aaaa000011112222 0\nruns 2\nil 100\ncalls 10\nfunc main 2\nsite main work 0 00ff00ff 50\nend\nrecord aaaa000011112222 1\nruns 1\nil 60\nend\n"
-	validSnap := "ILPROFSNAP 1\nprogram p.c\nfingerprint aaaa000011112222\ngen 3\nruns 2\nil 100\nfunc main 2\nsite main work 0 00ff00ff 50\n"
-	seeds := []string{
-		validDB,
-		validSnap,
-		strings.Replace(validDB, "end\nrecord", "target main work 0 00ff00ff work 30\nend\nrecord", 1),
-		validSnap + "target main work 0 00ff00ff work 30\ntarget main work 0 00ff00ff other 20\n",
-		validSnap + "target main work 0 00ff00ff work 30\ntarget main work 0 00ff00ff work 1\n", // duplicate target
-		"ILPROFDB 1\nprogram p.c\n",                                                           // empty store
-		strings.Replace(validDB, "end\nrecord", "record", 1),                                  // unterminated record
-		strings.Replace(validDB, "record aaaa000011112222 1", "record aaaa000011112222 0", 1), // duplicate record
-		validDB + "trailing\n",
-		strings.Replace(validDB, "site main work 0 00ff00ff 50", "site main work 0 zz 50", 1), // bad poshash
-		strings.Replace(validDB, "runs 2", "runs 0", 1),                                       // runs must be positive
-		strings.Replace(validSnap, "fingerprint aaaa000011112222\n", "", 1),                   // fingerprint required
-		validSnap + "gen 4\n",                                                                 // duplicate directive
-		"ILPROFDB 2\n",
-		"ILPROFSNAP 1\nprogram p.c\nfingerprint f\ngen 0\nruns 1\nsite a b 0 00000000 1\nsite a b 0 00000000 2\n", // duplicate site
-		validSnap + "site main f 0 1a2b -100\n", // negative arc weight
-		validSnap + "func f -7\n",
-		strings.Replace(validDB, "il 100", "il -100", 1),
-		strings.Replace(validDB, "runs 2", "runs -2", 1),
-		validSnap + "target main work 0 00ff00ff work -30\n",
-		strings.Replace(validDB, "il 60", "il 60\nsamplerate 32", 1), // legacy line: accepted, then dropped
-		validSnap + "samplerate -1\n",
-		validSnap + "samplerate -2\n",
+	data, err := os.ReadFile(filepath.Join("internal", "profdb", "testdata", "decoder_seeds.txt"))
+	if err != nil {
+		f.Fatal(err)
 	}
-	for _, s := range seeds {
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		s, err := strconv.Unquote(line)
+		if err != nil {
+			f.Fatalf("decoder_seeds.txt: %v: %s", err, line)
+		}
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data string) {
@@ -359,6 +349,9 @@ func FuzzProfDBDecoder(f *testing.F) {
 			for _, rec := range db.Records {
 				if neg := negativeRecordCount(rec); neg != "" {
 					t.Fatalf("accepted database holds a negative count: %s", neg)
+				}
+				if rec.Gen < 0 {
+					t.Fatalf("accepted database holds negative generation %d", rec.Gen)
 				}
 			}
 			var first strings.Builder
@@ -382,6 +375,9 @@ func FuzzProfDBDecoder(f *testing.F) {
 		if program, rec, err := profdb.ReadSnapshot(strings.NewReader(data)); err == nil {
 			if neg := negativeRecordCount(rec); neg != "" {
 				t.Fatalf("accepted snapshot holds a negative count: %s", neg)
+			}
+			if rec.Gen < 0 {
+				t.Fatalf("accepted snapshot holds negative generation %d", rec.Gen)
 			}
 			var first strings.Builder
 			if _, err := profdb.WriteSnapshot(&first, program, rec); err != nil {

@@ -304,8 +304,10 @@ func (rt *Router) handleProfile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	// The histogram covers the whole read — fan-in, combine, merge and
+	// the response write — on success and failure alike.
+	defer func() { rt.readH.Observe(time.Since(start).Seconds()) }()
 	combined, _, err := rt.fleetView()
-	rt.readH.Observe(time.Since(start).Seconds())
 	if err != nil {
 		rt.readErrs.Inc()
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

@@ -1,8 +1,10 @@
 package profdb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,12 +47,22 @@ type Record struct {
 
 // NewRecord returns an empty record for one (fingerprint, generation).
 func NewRecord(fingerprint string, gen int) *Record {
+	return newRecordLike(fingerprint, gen, nil)
+}
+
+// newRecordLike returns an empty record whose maps are sized for as
+// many entries as shape has (none when shape is nil).
+func newRecordLike(fingerprint string, gen int, shape *Record) *Record {
+	var funcs, sites, targets int
+	if shape != nil {
+		funcs, sites, targets = len(shape.Funcs), len(shape.Sites), len(shape.Targets)
+	}
 	return &Record{
 		Fingerprint: fingerprint,
 		Gen:         gen,
-		Funcs:       make(map[string]int64),
-		Sites:       make(map[SiteKey]int64),
-		Targets:     make(map[SiteKey]map[string]int64),
+		Funcs:       make(map[string]int64, funcs),
+		Sites:       make(map[SiteKey]int64, sites),
+		Targets:     make(map[SiteKey]map[string]int64, targets),
 	}
 }
 
@@ -100,7 +112,7 @@ func (r *Record) sortedTargetKeys() []SiteKey {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return siteKeyLess(keys[i], keys[j]) })
+	slices.SortFunc(keys, compareSiteKeys)
 	return keys
 }
 
@@ -110,22 +122,22 @@ func (r *Record) sortedSiteKeys() []SiteKey {
 	for k := range r.Sites {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return siteKeyLess(keys[i], keys[j]) })
+	slices.SortFunc(keys, compareSiteKeys)
 	return keys
 }
 
-// siteKeyLess is the canonical on-disk site-key order.
-func siteKeyLess(a, b SiteKey) bool {
-	if a.Caller != b.Caller {
-		return a.Caller < b.Caller
+// compareSiteKeys is the canonical on-disk site-key order.
+func compareSiteKeys(a, b SiteKey) int {
+	if c := strings.Compare(a.Caller, b.Caller); c != 0 {
+		return c
 	}
-	if a.Callee != b.Callee {
-		return a.Callee < b.Callee
+	if c := strings.Compare(a.Callee, b.Callee); c != 0 {
+		return c
 	}
-	if a.Ordinal != b.Ordinal {
-		return a.Ordinal < b.Ordinal
+	if c := cmp.Compare(a.Ordinal, b.Ordinal); c != 0 {
+		return c
 	}
-	return a.PosHash < b.PosHash
+	return cmp.Compare(a.PosHash, b.PosHash)
 }
 
 // sortedFuncNames returns the record's function names in on-disk order.
@@ -134,7 +146,7 @@ func (r *Record) sortedFuncNames() []string {
 	for n := range r.Funcs {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -172,6 +184,9 @@ func (db *DB) Ingest(rec *Record) error {
 	}
 	if rec.Runs <= 0 {
 		return fmt.Errorf("profdb: ingest: record has non-positive runs count %d", rec.Runs)
+	}
+	if rec.Gen < 0 {
+		return fmt.Errorf("profdb: ingest: record has negative generation %d", rec.Gen)
 	}
 	key := RecordKey{rec.Fingerprint, rec.Gen}
 	if cur, ok := db.Records[key]; ok {
@@ -215,11 +230,11 @@ func (db *DB) sortedKeys() []RecordKey {
 	for k := range db.Records {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Fingerprint != keys[j].Fingerprint {
-			return keys[i].Fingerprint < keys[j].Fingerprint
+	slices.SortFunc(keys, func(a, b RecordKey) int {
+		if c := strings.Compare(a.Fingerprint, b.Fingerprint); c != 0 {
+			return c
 		}
-		return keys[i].Gen < keys[j].Gen
+		return cmp.Compare(a.Gen, b.Gen)
 	})
 	return keys
 }

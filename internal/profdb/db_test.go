@@ -421,6 +421,27 @@ func TestNegativeCountsRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeGenerationsRejected: generations are never negative.
+// Decay is measured from the newest generation and MaxGen starts at 0,
+// so a store whose newest generation is negative would decay as if
+// generation 0 existed. Both decoders reject one with a line-numbered
+// error, and DB.Ingest refuses one built in memory.
+func TestNegativeGenerationsRejected(t *testing.T) {
+	const snap = "ILPROFSNAP 1\nprogram p.c\nfingerprint f\ngen -40\nruns 1\n"
+	if _, _, err := profdb.ReadSnapshot(strings.NewReader(snap)); err == nil || !strings.Contains(err.Error(), "line 4: negative generation -40") {
+		t.Errorf("ReadSnapshot accepted a negative generation: %v", err)
+	}
+	const db = "ILPROFDB 1\nprogram p.c\nrecord abcd -40\nruns 1\nend\n"
+	if _, err := profdb.ReadDB(strings.NewReader(db)); err == nil || !strings.Contains(err.Error(), "line 3: negative generation -40") {
+		t.Errorf("ReadDB accepted a negative generation: %v", err)
+	}
+	rec := profdb.NewRecord("abcd", -1)
+	rec.Runs = 1
+	if err := profdb.NewDB("p.c").Ingest(rec); err == nil || !strings.Contains(err.Error(), "negative generation -1") {
+		t.Errorf("Ingest accepted a negative generation: %v", err)
+	}
+}
+
 // TestLegacyRateDirectivesDropped: files written while the sampling
 // profiler existed may carry `samplerate <k>` (database records,
 // snapshots) or `sampled <k>` (ILPROF profiles). They still load, the
