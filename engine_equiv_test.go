@@ -3,11 +3,14 @@ package inlinec
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"inlinec/internal/interp"
+	"inlinec/internal/ir"
 	"inlinec/internal/obs"
 	"inlinec/internal/testgen"
 )
@@ -112,6 +115,12 @@ func runBothEngines(t *testing.T, src string, maxIL int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runModuleBothEngines(t, p.Module, maxIL)
+}
+
+// runModuleBothEngines is runBothEngines on a compiled module.
+func runModuleBothEngines(t *testing.T, mod *ir.Module, maxIL int64) {
+	t.Helper()
 	type outcome struct {
 		stdout, stderr, errText string
 		stats                   RunStats
@@ -119,7 +128,7 @@ func runBothEngines(t *testing.T, src string, maxIL int64) {
 	runOn := func(engine string) outcome {
 		env := interp.NewEnv()
 		env.Stdin = []byte("5\n")
-		m, err := interp.NewMachine(p.Module, env, interp.Options{
+		m, err := interp.NewMachine(mod, env, interp.Options{
 			Engine: engine, MaxIL: maxIL, StackSize: 1 << 20, HeapSize: 1 << 20,
 		})
 		if err != nil {
@@ -148,7 +157,7 @@ func runBothEngines(t *testing.T, src string, maxIL int64) {
 
 // TestEngineBudgetFaultEquivalence: the two engines fault identically —
 // same error text, same partial counters — when the instruction budget
-// trips at arbitrary points, including inside would-be-fused pairs.
+// trips at arbitrary points, including inside fused groups.
 func TestEngineBudgetFaultEquivalence(t *testing.T) {
 	src := testgen.Generate(7, testgen.Options{Recursion: true, Pointers: true, Extern: true})
 	for _, maxIL := range []int64{1, 2, 3, 5, 17, 100, 1001, 1 << 40} {
@@ -156,6 +165,32 @@ func TestEngineBudgetFaultEquivalence(t *testing.T) {
 			runBothEngines(t, src, maxIL)
 		})
 	}
+	// testdata/folded_shapes.c holds every shape the bytecode engine
+	// retires as one group (internal/interp's TestFoldedShapesProgram
+	// checks its translation), and ends dividing by zero after a dead
+	// constant. Tripping the budget at every instruction of its run puts
+	// a fault on every component of every group.
+	t.Run("folded-shapes", func(t *testing.T) {
+		src, err := os.ReadFile(filepath.Join("testdata", "folded_shapes.c"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile("folded_shapes.c", string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := interp.NewMachine(p.Module, interp.NewEnv(), interp.Options{Engine: interp.EngineSwitch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Run()
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("folded_shapes.c should end dividing by zero, got %v", err)
+		}
+		for maxIL := int64(1); maxIL <= st.IL; maxIL++ {
+			runModuleBothEngines(t, p.Module, maxIL)
+		}
+	})
 }
 
 // TestEngineRuntimeFaultEquivalence: runtime faults (division by zero,
@@ -166,6 +201,11 @@ func TestEngineRuntimeFaultEquivalence(t *testing.T) {
 		{"divzero", `int main() { int a; int b; a = 10; b = 0; return a / b; }`},
 		{"badload", `int main() { int *p; p = (int*)7; return *p; }`},
 		{"overflow", `int f(int n) { int pad[200]; pad[0] = n; return f(n + 1) + pad[0]; }
+int main() { return f(0); }`},
+		// The call's argument constant is a dead definition with its own
+		// source position, folded into the call's group: the overflow
+		// must still be reported at the call.
+		{"overflow-folded", `int f(int n) { int pad[200]; pad[0] = n; return f(0) + pad[0]; }
 int main() { return f(0); }`},
 		{"badcallptr", `int main() { int (*fp)(); fp = (int(*)())12345; return fp(); }`},
 	}
@@ -224,6 +264,12 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(11), uint8(15|2<<4|2<<6), int64(93), int64(0)) // tiny budget
 	f.Add(int64(12), uint8(0), int64(0), int64(8|3000<<6))     // last 8 heap bytes, past the prefix
 	f.Add(int64(13), uint8(0), int64(0), int64(5))             // load8 straddling the heap's end
+	// Budgets that trip inside a bytecode group, past its first component.
+	f.Add(int64(7), uint8(15), int64(68), int64(0))  // a call behind a dead constant
+	f.Add(int64(7), uint8(15), int64(89), int64(0))  // a compare behind a dead constant
+	f.Add(int64(7), uint8(15), int64(110), int64(0)) // a dead constant inside a compare-branch
+	f.Add(int64(14), uint8(3), int64(96), int64(0))  // the branch ending a compare-branch
+	f.Add(int64(15), uint8(8), int64(54), int64(0))  // a compare behind a dead constant
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, budget, heapProbe int64) {
 		opts := testgen.Options{
 			Recursion: shape&1 != 0,

@@ -209,10 +209,11 @@ type Program struct {
 	// registry attached, at any Parallelism. A nil registry is a no-op.
 	Obs *obs.Registry
 
-	// Engine selects the interpreter engine for Run/Profile/SimulateICache:
+	// Engine selects the interpreter engine for Run/Profile:
 	// interp.EngineBytecode (the default when empty) or interp.EngineSwitch.
-	// Both engines produce bit-identical outputs, profiles, and traces; the
-	// switch engine is retained as the differential-testing oracle.
+	// Both engines produce bit-identical outputs and profiles; the switch
+	// engine is retained as the differential-testing oracle. SimulateICache
+	// traces every instruction, so it always runs on the switch engine.
 	Engine string
 
 	name string
@@ -646,15 +647,15 @@ func DefaultICacheConfig() ICacheConfig { return icache.DefaultConfig() }
 // reproducing the paper's conclusion-section observation that inline
 // expansion reduces mapping conflicts despite larger static code.
 func (p *Program) SimulateICache(in Input, cfg ICacheConfig) (ICacheStats, error) {
-	return simulateICache(p.Module, in, cfg, p.Obs, p.Engine)
+	return simulateICache(p.Module, in, cfg, p.Obs)
 }
 
 // SimulateICacheOriginal simulates the cache over the pristine module.
 func (p *Program) SimulateICacheOriginal(in Input, cfg ICacheConfig) (ICacheStats, error) {
-	return simulateICache(p.Original, in, cfg, p.Obs, p.Engine)
+	return simulateICache(p.Original, in, cfg, p.Obs)
 }
 
-func simulateICache(mod *ir.Module, in Input, cfg ICacheConfig, reg *obs.Registry, engine string) (ICacheStats, error) {
+func simulateICache(mod *ir.Module, in Input, cfg ICacheConfig, reg *obs.Registry) (ICacheStats, error) {
 	defer reg.StartSpan("icache.simulate")()
 	cache, err := icache.New(cfg)
 	if err != nil {
@@ -662,7 +663,7 @@ func simulateICache(mod *ir.Module, in Input, cfg ICacheConfig, reg *obs.Registr
 	}
 	tracer := &icache.Tracer{Cache: cache, Layout: icache.NewLayout(mod)}
 	env := newEnv(in)
-	m, err := interp.NewMachine(mod, env, interp.Options{StackSize: in.StackSize, Trace: tracer.Step, Engine: engine})
+	m, err := interp.NewMachine(mod, env, interp.Options{StackSize: in.StackSize, Trace: tracer.Step})
 	if err != nil {
 		return ICacheStats{}, err
 	}

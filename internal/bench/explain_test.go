@@ -5,10 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"inlinec"
+	"inlinec/internal/interp"
 	"inlinec/internal/obs"
 )
 
@@ -19,12 +21,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files instead of c
 // -explain-inline report, the JSONL decision trace, and the final module.
 func espressoExplain(t *testing.T, par int) (report string, jsonl []byte, module string) {
 	t.Helper()
-	return suiteExplain(t, "espresso", par)
+	return suiteExplain(t, "espresso", interp.EngineBytecode, par)
 }
 
 // suiteExplain runs one suite benchmark's inline pipeline on its first
-// input at default parameters and returns the same three artifacts.
-func suiteExplain(t *testing.T, name string, par int) (report string, jsonl []byte, module string) {
+// input at default parameters, profiling on the given interpreter
+// engine, and returns the same three artifacts.
+func suiteExplain(t *testing.T, name, engine string, par int) (report string, jsonl []byte, module string) {
 	t.Helper()
 	b := Get(name)
 	if b == nil {
@@ -34,6 +37,7 @@ func suiteExplain(t *testing.T, name string, par int) (report string, jsonl []by
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.Engine = engine
 	p.Parallelism = par
 	prof, err := p.ProfileInputs(b.Inputs[0])
 	if err != nil {
@@ -82,16 +86,52 @@ func checkGolden(t *testing.T, file, got string) {
 	}
 }
 
+// engines lists the interpreter engines every golden must hold on.
+var engines = []string{interp.EngineBytecode, interp.EngineSwitch}
+
 // TestSuiteExplainGolden pins every suite program's -explain-inline
 // report (first input, Parallelism 1) to a checked-in golden file, so
 // any drift in decisions, rejection reasons, or report formatting is a
-// reviewed diff. Refresh with `go test ./internal/bench -run
-// ExplainGolden -update`.
+// reviewed diff. The report must be the same whichever engine profiles.
+// Refresh with `go test ./internal/bench -run ExplainGolden -update`.
 func TestSuiteExplainGolden(t *testing.T) {
 	for _, name := range SuiteNames() {
 		t.Run(name, func(t *testing.T) {
-			report, _, _ := suiteExplain(t, name, 1)
-			checkGolden(t, name+"_explain.golden", report)
+			for _, engine := range engines {
+				t.Run(engine, func(t *testing.T) {
+					report, _, _ := suiteExplain(t, name, engine, 1)
+					checkGolden(t, name+"_explain.golden", report)
+				})
+			}
+		})
+	}
+}
+
+// TestSuiteRunEngineEquivalence: on its first input, every suite program
+// (the paper's twelve plus funcptrs) produces the same output and the
+// same RunStats, every counter and map included, on both engines.
+func TestSuiteRunEngineEquivalence(t *testing.T) {
+	for _, name := range append(SuiteNames(), "funcptrs") {
+		t.Run(name, func(t *testing.T) {
+			b := Get(name)
+			p, err := b.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref *inlinec.RunOutput
+			for _, engine := range engines {
+				p.Engine = engine
+				out, err := p.Run(b.Inputs[0])
+				if err != nil {
+					t.Fatalf("%s engine: %v", engine, err)
+				}
+				if ref == nil {
+					ref = out
+				} else if !reflect.DeepEqual(out, ref) {
+					t.Errorf("%s engine diverges from %s:\nstats %+v\nvs    %+v",
+						engine, engines[0], out.Stats, ref.Stats)
+				}
+			}
 		})
 	}
 }
@@ -99,7 +139,7 @@ func TestSuiteExplainGolden(t *testing.T) {
 // funcPtrsExplain runs the funcptrs benchmark's pipeline with guarded
 // expansion on (partial inlining + devirtualization at 0.9 dominance
 // under a tight per-callee limit) and returns the same three artifacts.
-func funcPtrsExplain(t *testing.T, par int) (report string, jsonl []byte, module string) {
+func funcPtrsExplain(t *testing.T, engine string, par int) (report string, jsonl []byte, module string) {
 	t.Helper()
 	b := Get("funcptrs")
 	if b == nil {
@@ -109,6 +149,7 @@ func funcPtrsExplain(t *testing.T, par int) (report string, jsonl []byte, module
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.Engine = engine
 	p.Parallelism = par
 	prof, err := p.ProfileInputs(b.Inputs[0])
 	if err != nil {
@@ -140,28 +181,32 @@ func funcPtrsExplain(t *testing.T, par int) (report string, jsonl []byte, module
 // TestFuncPtrsExplainGolden pins the guarded-expansion decision report:
 // the partial_inlined and devirtualized sections and the
 // devirt_below_threshold rejection must all appear, and the exact
-// report is a reviewed diff. Refresh with `go test ./internal/bench
-// -run FuncPtrsExplainGolden -update`.
+// report, on either engine, is a reviewed diff. Refresh with `go test
+// ./internal/bench -run FuncPtrsExplainGolden -update`.
 func TestFuncPtrsExplainGolden(t *testing.T) {
-	report, _, _ := funcPtrsExplain(t, 1)
-	for _, want := range []string{
-		"partially inlined (hot entry region + guarded fallback)",
-		"devirtualized (guarded test-and-inline of dominant target)",
-		string(obs.ReasonDevirtBelowThreshold),
-	} {
-		if !strings.Contains(report, want) {
-			t.Errorf("funcptrs explain report is missing %q:\n%s", want, report)
-		}
+	for _, engine := range engines {
+		t.Run(engine, func(t *testing.T) {
+			report, _, _ := funcPtrsExplain(t, engine, 1)
+			for _, want := range []string{
+				"partially inlined (hot entry region + guarded fallback)",
+				"devirtualized (guarded test-and-inline of dominant target)",
+				string(obs.ReasonDevirtBelowThreshold),
+			} {
+				if !strings.Contains(report, want) {
+					t.Errorf("funcptrs explain report is missing %q:\n%s", want, report)
+				}
+			}
+			checkGolden(t, "funcptrs_explain.golden", report)
+		})
 	}
-	checkGolden(t, "funcptrs_explain.golden", report)
 }
 
 // TestFuncPtrsExplainDeterministic: guarded expansion's artifacts are
 // byte-identical at any worker count, like plain expansion's.
 func TestFuncPtrsExplainDeterministic(t *testing.T) {
-	refReport, refJSONL, refModule := funcPtrsExplain(t, 1)
+	refReport, refJSONL, refModule := funcPtrsExplain(t, interp.EngineBytecode, 1)
 	for _, par := range []int{2, 8} {
-		report, jsonl, module := funcPtrsExplain(t, par)
+		report, jsonl, module := funcPtrsExplain(t, interp.EngineBytecode, par)
 		if report != refReport {
 			t.Errorf("explain report differs between Parallelism 1 and %d", par)
 		}

@@ -13,11 +13,14 @@ import (
 // register indices (constants get pool registers preloaded at function
 // entry, so the dispatch loop never inspects an operand kind), branch
 // targets become bytecode PCs, call sites become direct *bcFunc/extern
-// pointers, and global/function addresses become immediates. Hot
-// adjacent pairs additionally fuse into superinstructions (compare+
-// branch, address+load/store); the profiling counters inside the fused
-// forms checkpoint at the same semantic points as the unfused pair, so
-// RunStats stay bit-identical to the switch engine.
+// pointers, and global/function addresses become immediates.
+//
+// One bcInstr retires n consecutive IR instructions of one basic block:
+// constants whose register nothing reads fold into the instruction after
+// them, and hot shapes fuse into superinstructions (compare+branch,
+// address+load/store). The dispatch loop adds n to the IL counter once;
+// only the last component can fault or touch a counter other than IL,
+// so RunStats stay bit-identical to the switch engine.
 
 // bcOp is a compact bytecode opcode. The values are contiguous so the
 // dispatch switch compiles to a dense jump table.
@@ -62,11 +65,10 @@ const (
 	bcCall    // invoke calls[aux]
 	bcCallPtr // invoke *regs[a] with calls[aux] metadata
 
-	// Superinstructions: fused forms of hot adjacent pairs. Each still
-	// performs every architectural write of its components (the compare
-	// result, the materialized address), so no liveness analysis is
-	// needed for correctness.
-	bcEqBr // regs[dst] = cmp(regs[a], regs[b]); if taken { pc = aux }
+	// Superinstructions: fused forms of hot shapes. A compare-branch
+	// writes no register (its compare results have no other reader); an
+	// address fusion still writes the address register.
+	bcEqBr // if regs[a] == regs[b] { pc = aux }
 	bcNeBr
 	bcLtBr
 	bcLeBr
@@ -119,9 +121,11 @@ func (op bcOp) String() string {
 // noReg is ir.NoReg in the bytecode's int32 register encoding.
 const noReg int32 = -1
 
-// bcInstr is one fixed-width pre-decoded instruction (32 bytes).
+// bcInstr is one fixed-width pre-decoded instruction (32 bytes; n sits
+// in the padding after op).
 type bcInstr struct {
 	op  bcOp
+	n   uint8 // IR instructions retired (0 only for bcEnd)
 	dst int32 // destination register
 	a   int32 // first source register (or fused address register)
 	b   int32 // second source register
@@ -161,9 +165,9 @@ type bcFunc struct {
 	numRegs int     // fn.NumRegs + len(consts)
 	consts  []int64 // constant pool, preloaded into regs[fn.NumRegs:]
 	code    []bcInstr
-	// origPC maps a bytecode pc back to the index of its (first) source
-	// instruction in fn.Code, for trace callbacks and fault positions. A
-	// fused instruction's second component is always at origPC+1.
+	// origPC maps a bytecode pc back to the index of its first source
+	// instruction in fn.Code; its components are fn.Code[origPC :
+	// origPC+n], so fault positions come from there.
 	origPC []int32
 	calls  []bcCallInfo
 	syms   []string // interned symbols for cold fault messages
@@ -184,8 +188,8 @@ func (bf *bcFunc) disasm() string {
 	fmt.Fprintf(&sb, "%s: %d bc instrs, %d regs (%d pooled consts)\n",
 		bf.fn.Name, len(bf.code), bf.numRegs, len(bf.consts))
 	for pc, in := range bf.code {
-		fmt.Fprintf(&sb, "  %3d: %-8s dst=%d a=%d b=%d aux=%d imm=%d\n",
-			pc, in.op, in.dst, in.a, in.b, in.aux, in.imm)
+		fmt.Fprintf(&sb, "  %3d: %-8s n=%d dst=%d a=%d b=%d aux=%d imm=%d\n",
+			pc, in.op, in.n, in.dst, in.a, in.b, in.aux, in.imm)
 	}
 	return sb.String()
 }

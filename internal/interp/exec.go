@@ -10,11 +10,12 @@ import (
 // execBC runs entry(args) to completion over the translated bytecode.
 // It is the bytecode twin of exec: one dense switch over pre-decoded
 // instructions, with pc, the register file, and the code array held in
-// locals so the hot path never chases a frame pointer. Every counter
-// (IL, control, calls, returns, extern, ptr, site, func) increments at
-// exactly the same semantic points as the switch engine — including the
-// per-component budget checkpoints inside fused superinstructions — so
-// RunStats are bit-identical between engines.
+// locals so the hot path never chases a frame pointer. Each dispatch
+// adds its n retired IR instructions to the IL counter and checks the
+// budget once; every other counter (control, calls, returns, extern,
+// ptr, site, func) belongs to a group's last component and increments
+// exactly where the switch engine's does, so RunStats are bit-identical
+// between engines.
 func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int64, error) {
 	var sp int64 // stack-segment high-water offset
 	depth := 0
@@ -26,7 +27,6 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 	depth++
 
 	maxIL := m.opts.MaxIL
-	trace := m.opts.Trace
 	mem := m.mem
 
 	// Loads and stores that land inside a segment's allocated prefix hit
@@ -56,37 +56,21 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 		st.PtrCalls += ptrs
 	}()
 
-	// fault builds a RuntimeError at the current instruction's source
-	// position (cold path only).
-	fault := func(pc int32, msg string) error {
-		return &RuntimeError{Func: bf.fn.Name, Pos: bf.fn.Code[bf.origPC[pc]].Pos, Msg: msg}
-	}
-	// fault2 is fault for the second component of a fused pair.
-	fault2 := func(pc int32, msg string) error {
-		return &RuntimeError{Func: bf.fn.Name, Pos: bf.fn.Code[bf.origPC[pc]+1].Pos, Msg: msg}
-	}
-	budgetMsg := func() string {
-		return fmt.Sprintf("instruction budget exceeded (%d)", maxIL)
-	}
-
 	var retVal int64
 	for depth > 0 {
 		in := &code[pc]
-		il++
+		il += int64(in.n)
 		if il > maxIL {
-			if in.op == bcEnd {
-				il--
-				return 0, &RuntimeError{Func: bf.fn.Name, Msg: "fell off the end of the function"}
-			}
-			return 0, fault(pc, budgetMsg())
-		}
-		if trace != nil && in.op != bcEnd {
-			trace(bf.fn, int(bf.origPC[pc]))
+			// Component k crosses the budget. The ones before it write
+			// only registers, which a fault makes unobservable, so
+			// faulting before the group runs is exact.
+			k := maxIL - (il - int64(in.n))
+			il = maxIL + 1
+			return 0, budgetFault(bf, pc, k, maxIL)
 		}
 
 		switch in.op {
 		case bcEnd:
-			il--
 			return 0, &RuntimeError{Func: bf.fn.Name, Msg: "fell off the end of the function"}
 		case bcNop:
 			pc++
@@ -114,14 +98,14 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 		case bcDiv:
 			b := regs[in.b]
 			if b == 0 {
-				return 0, fault(pc, "division by zero")
+				return 0, bcFault(bf, pc, "division by zero")
 			}
 			regs[in.dst] = regs[in.a] / b
 			pc++
 		case bcRem:
 			b := regs[in.b]
 			if b == 0 {
-				return 0, fault(pc, "division by zero")
+				return 0, bcFault(bf, pc, "division by zero")
 			}
 			regs[in.dst] = regs[in.a] % b
 			pc++
@@ -169,7 +153,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			} else {
 				v, err := mem.Load(addr, 1)
 				if err != nil {
-					return 0, fault(pc, err.Error())
+					return 0, bcFault(bf, pc, err.Error())
 				}
 				regs[in.dst] = v
 			}
@@ -185,7 +169,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			} else {
 				v, err := mem.Load(addr, 8)
 				if err != nil {
-					return 0, fault(pc, err.Error())
+					return 0, bcFault(bf, pc, err.Error())
 				}
 				regs[in.dst] = v
 			}
@@ -193,7 +177,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 		case bcLoadN:
 			v, err := mem.Load(regs[in.a], int(in.aux))
 			if err != nil {
-				return 0, fault(pc, err.Error())
+				return 0, bcFault(bf, pc, err.Error())
 			}
 			regs[in.dst] = v
 			pc++
@@ -206,7 +190,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			} else if off := addr - GlobalsBase; uint64(off) < uint64(len(globB)) {
 				globB[off] = byte(regs[in.b])
 			} else if err := mem.Store(addr, 1, regs[in.b]); err != nil {
-				return 0, fault(pc, err.Error())
+				return 0, bcFault(bf, pc, err.Error())
 			}
 			pc++
 		case bcStore8:
@@ -218,12 +202,12 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			} else if off := addr - GlobalsBase; off >= 0 && off <= int64(len(globB))-8 {
 				binary.LittleEndian.PutUint64(globB[off:], uint64(regs[in.b]))
 			} else if err := mem.Store(addr, 8, regs[in.b]); err != nil {
-				return 0, fault(pc, err.Error())
+				return 0, bcFault(bf, pc, err.Error())
 			}
 			pc++
 		case bcStoreN:
 			if err := mem.Store(regs[in.a], int(in.aux), regs[in.b]); err != nil {
-				return 0, fault(pc, err.Error())
+				return 0, bcFault(bf, pc, err.Error())
 			}
 			pc++
 		case bcAddrL:
@@ -241,100 +225,78 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 			}
 
 		// --- superinstructions -------------------------------------------
-		// Each fused form counts its components as separate IL
-		// instructions with their own budget checkpoints, matching the
-		// unfused execution order exactly: fault positions and
-		// partially-updated register state line up with the switch engine.
-		case bcEqBr, bcNeBr, bcLtBr, bcLeBr, bcGtBr, bcGeBr:
-			var v int64
-			a, b := regs[in.a], regs[in.b]
-			switch in.op {
-			case bcEqBr:
-				v = b2i(a == b)
-			case bcNeBr:
-				v = b2i(a != b)
-			case bcLtBr:
-				v = b2i(a < b)
-			case bcLeBr:
-				v = b2i(a <= b)
-			case bcGtBr:
-				v = b2i(a > b)
-			default:
-				v = b2i(a >= b)
-			}
-			regs[in.dst] = v
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
+		case bcEqBr:
 			ctl++
-			if v != 0 {
+			if regs[in.a] == regs[in.b] {
+				pc = in.aux
+			} else {
+				pc++
+			}
+		case bcNeBr:
+			ctl++
+			if regs[in.a] != regs[in.b] {
+				pc = in.aux
+			} else {
+				pc++
+			}
+		case bcLtBr:
+			ctl++
+			if regs[in.a] < regs[in.b] {
+				pc = in.aux
+			} else {
+				pc++
+			}
+		case bcLeBr:
+			ctl++
+			if regs[in.a] <= regs[in.b] {
+				pc = in.aux
+			} else {
+				pc++
+			}
+		case bcGtBr:
+			ctl++
+			if regs[in.a] > regs[in.b] {
+				pc = in.aux
+			} else {
+				pc++
+			}
+		case bcGeBr:
+			ctl++
+			if regs[in.a] >= regs[in.b] {
 				pc = in.aux
 			} else {
 				pc++
 			}
 		case bcLoadL1:
 			regs[in.a] = base + in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			regs[in.dst] = int64(mem.stack.b[frel+in.imm])
 			pc++
 		case bcLoadL8:
 			regs[in.a] = base + in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			regs[in.dst] = int64(binary.LittleEndian.Uint64(mem.stack.b[frel+in.imm:]))
 			pc++
 		case bcStoreL1:
 			regs[in.a] = base + in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			mem.stack.b[frel+in.imm] = byte(regs[in.b])
 			pc++
 		case bcStoreL8:
 			regs[in.a] = base + in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			binary.LittleEndian.PutUint64(mem.stack.b[frel+in.imm:], uint64(regs[in.b]))
 			pc++
 		case bcLoadG1:
 			regs[in.a] = in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			regs[in.dst] = int64(globB[in.aux])
 			pc++
 		case bcLoadG8:
 			regs[in.a] = in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			regs[in.dst] = int64(binary.LittleEndian.Uint64(globB[in.aux:]))
 			pc++
 		case bcStoreG1:
 			regs[in.a] = in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			globB[in.aux] = byte(regs[in.b])
 			pc++
 		case bcStoreG8:
 			regs[in.a] = in.imm
-			il++
-			if il > maxIL {
-				return 0, fault2(pc, budgetMsg())
-			}
 			binary.LittleEndian.PutUint64(globB[in.aux:], uint64(regs[in.b]))
 			pc++
 
@@ -354,7 +316,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 				f.pc = pc + 1 // resume after the call on return
 				nf, err := m.pushBC(depth, ci.user, callArgs, ci.dst, &sp, st)
 				if err != nil {
-					return 0, fault(pc, err.Error())
+					return 0, bcFault(bf, pc, err.Error())
 				}
 				f = nf
 				depth++
@@ -367,7 +329,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 				continue
 			}
 			if ci.ext == nil {
-				return 0, fault(pc, "unimplemented extern "+ci.sym)
+				return 0, bcFault(bf, pc, "unimplemented extern "+ci.sym)
 			}
 			externs++
 			m.funcCounts[ci.extID]++
@@ -376,7 +338,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 				if _, isExit := err.(*exitError); isExit {
 					return 0, err
 				}
-				return 0, fault(pc, err.Error())
+				return 0, bcFault(bf, pc, err.Error())
 			}
 			rets++
 			if ci.dst != noReg {
@@ -406,7 +368,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 				f.pc = pc + 1
 				nf, err := m.pushBC(depth, pt.user, callArgs, ci.dst, &sp, st)
 				if err != nil {
-					return 0, fault(pc, err.Error())
+					return 0, bcFault(bf, pc, err.Error())
 				}
 				m.bumpPtrTarget(int(ci.site), pt.user.id)
 				f = nf
@@ -428,7 +390,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 					if _, isExit := err.(*exitError); isExit {
 						return 0, err
 					}
-					return 0, fault(pc, err.Error())
+					return 0, bcFault(bf, pc, err.Error())
 				}
 				rets++
 				if ci.dst != noReg {
@@ -437,7 +399,7 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 				pc++
 				continue
 			}
-			return 0, fault(pc, fmt.Sprintf("call through invalid function pointer %#x", target))
+			return 0, bcFault(bf, pc, fmt.Sprintf("call through invalid function pointer %#x", target))
 		case bcRet, bcRetVoid:
 			rets++
 			if in.op == bcRet {
@@ -464,14 +426,28 @@ func (m *Machine) execBC(entry *bcFunc, args []int64, st *profile.RunStats) (int
 
 		// --- cold faults --------------------------------------------------
 		case bcBadAddrG:
-			return 0, fault(pc, "unknown global "+bf.syms[in.aux])
+			return 0, bcFault(bf, pc, "unknown global "+bf.syms[in.aux])
 		case bcBadAddrF:
-			return 0, fault(pc, "unknown function "+bf.syms[in.aux])
+			return 0, bcFault(bf, pc, "unknown function "+bf.syms[in.aux])
 		default:
-			return 0, fault(pc, "unhandled opcode "+bf.syms[in.aux])
+			return 0, bcFault(bf, pc, "unhandled opcode "+bf.syms[in.aux])
 		}
 	}
 	return retVal, nil
+}
+
+// bcFault builds the RuntimeError of a fault at pc, positioned at the
+// group's last component, the only one that can fault (cold path only).
+func bcFault(bf *bcFunc, pc int32, msg string) error {
+	last := bf.origPC[pc] + int32(bf.code[pc].n) - 1
+	return &RuntimeError{Func: bf.fn.Name, Pos: bf.fn.Code[last].Pos, Msg: msg}
+}
+
+// budgetFault builds the RuntimeError of a budget overrun at component k
+// of the group at pc.
+func budgetFault(bf *bcFunc, pc int32, k, maxIL int64) error {
+	return &RuntimeError{Func: bf.fn.Name, Pos: bf.fn.Code[int64(bf.origPC[pc])+k].Pos,
+		Msg: fmt.Sprintf("instruction budget exceeded (%d)", maxIL)}
 }
 
 // pushBC activates bf at depth, mirroring push for the bytecode engine:

@@ -42,9 +42,12 @@ type Options struct {
 	// MaxIL aborts the run after this many executed instructions
 	// (0 = 2^40, effectively unlimited for benchmarks).
 	MaxIL int64
-	// Trace, when non-nil, is invoked for every executed real instruction
-	// with the containing function and instruction index. Used by the
-	// instruction-cache simulator.
+	// Trace, when non-nil, is invoked for every executed instruction
+	// (labels excepted) with the containing function and instruction
+	// index. Used by the instruction-cache simulator. A traced machine
+	// runs on EngineSwitch whatever Engine says: the bytecode engine
+	// retires several instructions per dispatch and skips dead register
+	// writes, so only the switch engine sees each instruction.
 	Trace func(f *ir.Func, pc int)
 	// Obs, when non-nil, receives aggregate execution counters when a
 	// run completes. Recording happens once per run (a handful of atomic
@@ -67,6 +70,10 @@ type compiledFunc struct {
 	branchPC []int32
 	// callees[pc] is the resolved callee for an OpCall at pc.
 	callees []callTarget
+	// reads[r] counts the instructions reading register r, saturated at
+	// 2 (bytecode engine only): translation folds constants nothing
+	// reads and fuses compares read once.
+	reads []uint8
 }
 
 // callTarget is a load-time-resolved static callee: either a user
@@ -99,8 +106,9 @@ type Machine struct {
 	extByAddr  map[int64]*externTarget
 	addrByName map[string]int64
 
-	// engine is the resolved Options.Engine; the bytecode tables below
-	// are populated only for EngineBytecode.
+	// engine is the resolved Options.Engine (EngineSwitch for a traced
+	// machine); the bytecode tables below are populated only for
+	// EngineBytecode.
 	engine     string
 	bfuncs     map[string]*bcFunc
 	ptrTargets []ptrTarget
@@ -149,6 +157,18 @@ func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 	if opts.MaxIL == 0 {
 		opts.MaxIL = 1 << 40
 	}
+	engine := opts.Engine
+	switch engine {
+	case "":
+		engine = EngineBytecode
+	case EngineBytecode, EngineSwitch:
+	default:
+		return nil, fmt.Errorf("unknown interpreter engine %q (want %q or %q)",
+			opts.Engine, EngineBytecode, EngineSwitch)
+	}
+	if opts.Trace != nil {
+		engine = EngineSwitch
+	}
 	m := &Machine{
 		Mod:        mod,
 		Env:        env,
@@ -156,6 +176,7 @@ func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 		byAddr:     make(map[int64]*compiledFunc, len(mod.Funcs)),
 		extByAddr:  make(map[int64]*externTarget, len(mod.Externs)),
 		addrByName: make(map[string]int64, len(mod.Funcs)+len(mod.Externs)),
+		engine:     engine,
 		opts:       opts,
 	}
 	id := 0
@@ -185,8 +206,18 @@ func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 	m.funcCounts = make([]int64, id)
 
 	// Second pass: with every function known, resolve branch labels to pc
-	// indices and call symbols to callee pointers, and size the dense
-	// call-site counter table from the largest static site id.
+	// indices and call symbols to callee pointers, size the dense
+	// call-site counter table from the largest static site id, and for
+	// the bytecode engine count register reads, all functions' counts
+	// in one buffer.
+	var reads []uint8
+	if engine == EngineBytecode {
+		n := 0
+		for _, f := range mod.Funcs {
+			n += f.NumRegs
+		}
+		reads = make([]uint8, n)
+	}
 	maxCallID := 0
 	extraExterns := make(map[string]int)
 	for _, cf := range cfs {
@@ -194,8 +225,18 @@ func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 		labels := cf.fn.LabelIndex()
 		cf.branchPC = make([]int32, len(code))
 		cf.callees = make([]callTarget, len(code))
+		if reads != nil {
+			cf.reads, reads = reads[:cf.fn.NumRegs:cf.fn.NumRegs], reads[cf.fn.NumRegs:]
+		}
 		for pc := range code {
 			in := &code[pc]
+			if cf.reads != nil {
+				countRead(cf.reads, in.A)
+				countRead(cf.reads, in.B)
+				for _, a := range in.Args {
+					countRead(cf.reads, a)
+				}
+			}
 			switch in.Op {
 			case ir.OpJump, ir.OpBr:
 				cf.branchPC[pc] = int32(labels[in.Label])
@@ -243,19 +284,18 @@ func NewMachine(mod *ir.Module, env *Env, opts Options) (*Machine, error) {
 	m.ptrStride = len(m.funcCounts)
 	m.ptrTargetCounts = make([]int64, len(m.ptrSiteIDs)*m.ptrStride)
 
-	switch opts.Engine {
-	case "", EngineBytecode:
-		m.engine = EngineBytecode
-		// Superinstruction fusion merges instruction pairs, so the trace
-		// hook (which must see every instruction individually) disables it.
-		m.translate(cfs, opts.Trace == nil)
-	case EngineSwitch:
-		m.engine = EngineSwitch
-	default:
-		return nil, fmt.Errorf("unknown interpreter engine %q (want %q or %q)",
-			opts.Engine, EngineBytecode, EngineSwitch)
+	if engine == EngineBytecode {
+		m.translate(cfs)
 	}
 	return m, nil
+}
+
+// countRead counts one read of v in reads when v is a register,
+// saturating at 2.
+func countRead(reads []uint8, v ir.Value) {
+	if v.Kind == ir.VKReg && reads[v.Reg] < 2 {
+		reads[v.Reg]++
+	}
 }
 
 // Engine reports which execution engine the machine resolved to.

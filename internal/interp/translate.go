@@ -6,12 +6,10 @@ import (
 
 // translate compiles every loaded function into bytecode. It runs after
 // NewMachine's resolution passes and consumes their results — the dense
-// function ids, resolved call targets, and branch targets in cfs — so
-// the bytecode engine observes exactly the same counter layout as the
-// switch engine. fuse enables superinstruction formation; the trace hook
-// needs to observe every instruction individually, so tracing machines
-// translate unfused.
-func (m *Machine) translate(cfs []*compiledFunc, fuse bool) {
+// function ids, resolved call targets, branch targets and register read
+// counts in cfs — so the bytecode engine observes exactly the same
+// counter layout as the switch engine.
+func (m *Machine) translate(cfs []*compiledFunc) {
 	globalAddr, globalsLen := layoutGlobals(m.Mod)
 	m.bfuncs = make(map[string]*bcFunc, len(cfs))
 	bfs := make([]*bcFunc, len(cfs))
@@ -20,8 +18,9 @@ func (m *Machine) translate(cfs []*compiledFunc, fuse bool) {
 		bfs[i] = bf
 		m.bfuncs[cf.fn.Name] = bf
 	}
+	scratch := &translateScratch{pool: make(map[int64]int32)}
 	for i, cf := range cfs {
-		m.translateFunc(cf, bfs[i], fuse, globalAddr, globalsLen)
+		m.translateFunc(cf, bfs[i], globalAddr, globalsLen, scratch)
 	}
 
 	// Dense function-pointer table over user functions and declared
@@ -34,6 +33,10 @@ func (m *Machine) translate(cfs []*compiledFunc, fuse bool) {
 		m.ptrTargets[(addr-FuncBase)/FuncStride] = ptrTarget{ext: et.impl, id: int32(et.id)}
 	}
 }
+
+// maxFoldRun bounds how many dead constants fold into one group, so a
+// group's IR count always fits bcInstr.n.
+const maxFoldRun = 64
 
 // isCmp reports whether op is a comparison fusable with a following
 // conditional branch.
@@ -55,19 +58,44 @@ func cmpBrBC(op ir.Op) bcOp {
 	return bcEqBr + bcOp(op-ir.OpEq)
 }
 
+// negCmpBrBC maps a comparison ir.Op (indexed from OpEq) to the
+// compare-branch taken when the comparison is false.
+var negCmpBrBC = [...]bcOp{bcNeBr, bcEqBr, bcGeBr, bcGtBr, bcLeBr, bcLtBr}
+
+// isNegation reports whether in computes the logical not of r
+// (eq s = r, #0).
+func isNegation(in *ir.Instr, r ir.Reg) bool {
+	return in.Op == ir.OpEq && in.A.Kind == ir.VKReg && in.A.Reg == r &&
+		in.B.Kind == ir.VKConst && in.B.Imm == 0
+}
+
 // loadWidthOK reports whether an access width has a specialized opcode.
 func loadWidthOK(size int) bool { return size == 1 || size == 8 }
 
-func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalAddr map[string]int64, globalsLen int) {
+// translateScratch is translation state reused from one function to the
+// next.
+type translateScratch struct {
+	irToBC []int32
+	pool   map[int64]int32
+}
+
+// isBranchBC reports whether op's aux is a branch target.
+func isBranchBC(op bcOp) bool {
+	return op == bcJump || op == bcBr || op >= bcEqBr && op <= bcGeBr
+}
+
+func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, globalAddr map[string]int64, globalsLen int, scratch *translateScratch) {
 	fn := cf.fn
 	code := fn.Code
+	reads := cf.reads
 
 	// Constant-pool registers: every constant operand is assigned a
 	// register index past fn.NumRegs, preloaded at function entry.
 	// Binary ops then read registers unconditionally — no operand-kind
 	// branch in the dispatch loop, and no opcode explosion into
 	// reg/const variants.
-	pool := make(map[int64]int32)
+	pool := scratch.pool
+	clear(pool)
 	poolReg := func(v int64) int32 {
 		if r, ok := pool[v]; ok {
 			return r
@@ -87,62 +115,101 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 		bf.syms = append(bf.syms, s)
 		return int32(len(bf.syms) - 1)
 	}
-	// Each IR instruction emits at most one bytecode, plus the trailing
-	// bcEnd, so both arrays are allocated once at their bound.
+	// deadConst reports whether code[pc] only loads a constant into a
+	// register nothing reads: it has no effect but its IL count.
+	deadConst := func(pc int) bool {
+		in := &code[pc]
+		return (in.Op == ir.OpConst || in.Op == ir.OpMov && in.A.Kind == ir.VKConst) &&
+			reads[in.Dst] == 0
+	}
+	// brOn reports whether code[pc] is a conditional branch on r.
+	brOn := func(pc int, r ir.Reg) bool {
+		in := &code[pc]
+		return in.Op == ir.OpBr && in.A.Kind == ir.VKReg && in.A.Reg == r
+	}
+
+	// Each emitted instruction covers at least one IR instruction, plus
+	// the trailing bcEnd, so both arrays are allocated once at their
+	// bound. start is the first IR index of the pending group of dead
+	// constants (-1 when none); emit folds it into the next instruction,
+	// whose last component is code[last].
 	bf.code = make([]bcInstr, 0, len(code)+1)
 	bf.origPC = make([]int32, 0, len(code)+1)
-	emit := func(origPC int, in bcInstr) {
+	start := -1
+	emit := func(pc, last int, in bcInstr) {
+		if start >= 0 {
+			pc, start = start, -1
+		}
+		in.n = uint8(last - pc + 1)
 		bf.code = append(bf.code, in)
-		bf.origPC = append(bf.origPC, int32(origPC))
+		bf.origPC = append(bf.origPC, int32(pc))
 	}
 
-	// irToBC[pc] is the bytecode index of the first instruction emitted
-	// at or after IR index pc; branch targets (always labels, which emit
-	// nothing) resolve through it after emission.
-	irToBC := make([]int32, len(code)+1)
-	type patch struct {
-		bcPC     int
-		irTarget int32
+	// irToBC[pc] is the bytecode index of the instruction after label
+	// pc. Branches are emitted with their IR target label in aux and
+	// resolve through it after emission; only label entries are written.
+	if cap(scratch.irToBC) < len(code) {
+		scratch.irToBC = make([]int32, len(code))
 	}
-	var patches []patch
+	irToBC := scratch.irToBC[:len(code)]
 
 	for pc := 0; pc < len(code); pc++ {
-		irToBC[pc] = int32(len(bf.code))
 		in := &code[pc]
 		switch in.Op {
 		case ir.OpLabel:
 			// Labels vanish: they are not executed, not counted, and only
-			// exist as branch targets, which irToBC already records.
+			// exist as branch targets. Nothing folds across one.
+			irToBC[pc] = int32(len(bf.code))
 		case ir.OpNop:
-			emit(pc, bcInstr{op: bcNop})
-		case ir.OpConst:
-			emit(pc, bcInstr{op: bcConst, dst: int32(in.Dst), imm: in.A.Imm})
-		case ir.OpMov:
-			if in.A.Kind == ir.VKConst {
-				emit(pc, bcInstr{op: bcConst, dst: int32(in.Dst), imm: in.A.Imm})
-			} else {
-				emit(pc, bcInstr{op: bcMov, dst: int32(in.Dst), a: int32(in.A.Reg)})
+			emit(pc, pc, bcInstr{op: bcNop})
+		case ir.OpConst, ir.OpMov:
+			if in.Op == ir.OpMov && in.A.Kind != ir.VKConst {
+				emit(pc, pc, bcInstr{op: bcMov, dst: int32(in.Dst), a: int32(in.A.Reg)})
+				break
 			}
+			// A dead constant folds into the next instruction of its
+			// block; never into bcEnd, so a group always ends on an
+			// instruction that runs.
+			if deadConst(pc) && pc+1 < len(code) && code[pc+1].Op != ir.OpLabel &&
+				(start < 0 || pc-start < maxFoldRun) {
+				if start < 0 {
+					start = pc
+				}
+				continue
+			}
+			emit(pc, pc, bcInstr{op: bcConst, dst: int32(in.Dst), imm: in.A.Imm})
 		case ir.OpNeg:
-			emit(pc, bcInstr{op: bcNeg, dst: int32(in.Dst), a: operand(in.A)})
+			emit(pc, pc, bcInstr{op: bcNeg, dst: int32(in.Dst), a: operand(in.A)})
 		case ir.OpNot:
-			emit(pc, bcInstr{op: bcNot, dst: int32(in.Dst), a: operand(in.A)})
+			emit(pc, pc, bcInstr{op: bcNot, dst: int32(in.Dst), a: operand(in.A)})
 		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
 			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
 			ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
-			// compare + conditional branch on the compare's result fuses
-			// when the pair is adjacent (labels are the only branch
-			// targets, so nothing can jump between adjacent instructions).
-			if fuse && isCmp(in.Op) && pc+1 < len(code) {
-				if br := &code[pc+1]; br.Op == ir.OpBr && br.A.Kind == ir.VKReg && br.A.Reg == in.Dst {
-					emit(pc, bcInstr{op: cmpBrBC(in.Op), dst: int32(in.Dst), a: operand(in.A), b: operand(in.B)})
-					patches = append(patches, patch{len(bf.code) - 1, cf.branchPC[pc+1]})
-					irToBC[pc+1] = int32(len(bf.code) - 1)
-					pc++
+			// A compare whose only reader is a conditional branch fuses
+			// with it, across dead constants, either directly (cmp r;
+			// br r) or through a negation whose result is also read
+			// once (cmp r; eq s = r, #0; br s), which becomes the
+			// inverted compare-branch. Labels are the only branch
+			// targets, so nothing can jump into the group.
+			if isCmp(in.Op) && reads[in.Dst] == 1 {
+				j := pc + 1
+				for j < len(code) && j-pc <= maxFoldRun && deadConst(j) {
+					j++
+				}
+				op, br := cmpBrBC(in.Op), -1
+				switch {
+				case j < len(code) && brOn(j, in.Dst):
+					br = j
+				case j+1 < len(code) && isNegation(&code[j], in.Dst) && reads[code[j].Dst] == 1 && brOn(j+1, code[j].Dst):
+					op, br = negCmpBrBC[in.Op-ir.OpEq], j+1
+				}
+				if br >= 0 {
+					emit(pc, br, bcInstr{op: op, a: operand(in.A), b: operand(in.B), aux: cf.branchPC[br]})
+					pc = br
 					continue
 				}
 			}
-			emit(pc, bcInstr{op: binaryBC(in.Op), dst: int32(in.Dst), a: operand(in.A), b: operand(in.B)})
+			emit(pc, pc, bcInstr{op: binaryBC(in.Op), dst: int32(in.Dst), a: operand(in.A), b: operand(in.B)})
 		case ir.OpLoad:
 			op := bcLoadN
 			switch in.Size {
@@ -151,7 +218,7 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 			case 8:
 				op = bcLoad8
 			}
-			emit(pc, bcInstr{op: op, dst: int32(in.Dst), a: operand(in.A), aux: int32(in.Size)})
+			emit(pc, pc, bcInstr{op: op, dst: int32(in.Dst), a: operand(in.A), aux: int32(in.Size)})
 		case ir.OpStore:
 			op := bcStoreN
 			switch in.Size {
@@ -160,7 +227,7 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 			case 8:
 				op = bcStore8
 			}
-			emit(pc, bcInstr{op: op, a: operand(in.A), b: operand(in.B), aux: int32(in.Size)})
+			emit(pc, pc, bcInstr{op: op, a: operand(in.A), b: operand(in.B), aux: int32(in.Size)})
 		case ir.OpAddrL:
 			slot := fn.Slots[in.A.Imm]
 			off := int64(slot.Offset)
@@ -168,7 +235,7 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 			// into a direct frame access when the access provably stays
 			// inside the frame (which push has already bounds-checked
 			// against the stack segment).
-			if fuse && pc+1 < len(code) {
+			if pc+1 < len(code) {
 				nxt := &code[pc+1]
 				if nxt.Op == ir.OpLoad && nxt.A.Kind == ir.VKReg && nxt.A.Reg == in.Dst &&
 					loadWidthOK(nxt.Size) && off+int64(nxt.Size) <= int64(fn.FrameSize) {
@@ -176,8 +243,7 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 					if nxt.Size == 1 {
 						op = bcLoadL1
 					}
-					emit(pc, bcInstr{op: op, dst: int32(nxt.Dst), a: int32(in.Dst), imm: off})
-					irToBC[pc+1] = int32(len(bf.code) - 1)
+					emit(pc, pc+1, bcInstr{op: op, dst: int32(nxt.Dst), a: int32(in.Dst), imm: off})
 					pc++
 					continue
 				}
@@ -187,21 +253,20 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 					if nxt.Size == 1 {
 						op = bcStoreL1
 					}
-					emit(pc, bcInstr{op: op, a: int32(in.Dst), b: operand(nxt.B), imm: off})
-					irToBC[pc+1] = int32(len(bf.code) - 1)
+					emit(pc, pc+1, bcInstr{op: op, a: int32(in.Dst), b: operand(nxt.B), imm: off})
 					pc++
 					continue
 				}
 			}
-			emit(pc, bcInstr{op: bcAddrL, dst: int32(in.Dst), imm: off})
+			emit(pc, pc, bcInstr{op: bcAddrL, dst: int32(in.Dst), imm: off})
 		case ir.OpAddrG:
 			ga, ok := globalAddr[in.Sym]
 			if !ok {
-				emit(pc, bcInstr{op: bcBadAddrG, aux: symIdx(in.Sym)})
+				emit(pc, pc, bcInstr{op: bcBadAddrG, aux: symIdx(in.Sym)})
 				break
 			}
 			goff := ga - GlobalsBase
-			if fuse && pc+1 < len(code) {
+			if pc+1 < len(code) {
 				nxt := &code[pc+1]
 				if nxt.Op == ir.OpLoad && nxt.A.Kind == ir.VKReg && nxt.A.Reg == in.Dst &&
 					loadWidthOK(nxt.Size) && goff+int64(nxt.Size) <= int64(globalsLen) {
@@ -209,8 +274,7 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 					if nxt.Size == 1 {
 						op = bcLoadG1
 					}
-					emit(pc, bcInstr{op: op, dst: int32(nxt.Dst), a: int32(in.Dst), aux: int32(goff), imm: ga})
-					irToBC[pc+1] = int32(len(bf.code) - 1)
+					emit(pc, pc+1, bcInstr{op: op, dst: int32(nxt.Dst), a: int32(in.Dst), aux: int32(goff), imm: ga})
 					pc++
 					continue
 				}
@@ -220,25 +284,22 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 					if nxt.Size == 1 {
 						op = bcStoreG1
 					}
-					emit(pc, bcInstr{op: op, a: int32(in.Dst), b: operand(nxt.B), aux: int32(goff), imm: ga})
-					irToBC[pc+1] = int32(len(bf.code) - 1)
+					emit(pc, pc+1, bcInstr{op: op, a: int32(in.Dst), b: operand(nxt.B), aux: int32(goff), imm: ga})
 					pc++
 					continue
 				}
 			}
-			emit(pc, bcInstr{op: bcConst, dst: int32(in.Dst), imm: ga})
+			emit(pc, pc, bcInstr{op: bcConst, dst: int32(in.Dst), imm: ga})
 		case ir.OpAddrF:
 			if addr, ok := m.addrByName[in.Sym]; ok {
-				emit(pc, bcInstr{op: bcConst, dst: int32(in.Dst), imm: addr})
+				emit(pc, pc, bcInstr{op: bcConst, dst: int32(in.Dst), imm: addr})
 			} else {
-				emit(pc, bcInstr{op: bcBadAddrF, aux: symIdx(in.Sym)})
+				emit(pc, pc, bcInstr{op: bcBadAddrF, aux: symIdx(in.Sym)})
 			}
 		case ir.OpJump:
-			emit(pc, bcInstr{op: bcJump})
-			patches = append(patches, patch{len(bf.code) - 1, cf.branchPC[pc]})
+			emit(pc, pc, bcInstr{op: bcJump, aux: cf.branchPC[pc]})
 		case ir.OpBr:
-			emit(pc, bcInstr{op: bcBr, a: operand(in.A)})
-			patches = append(patches, patch{len(bf.code) - 1, cf.branchPC[pc]})
+			emit(pc, pc, bcInstr{op: bcBr, a: operand(in.A), aux: cf.branchPC[pc]})
 		case ir.OpCall, ir.OpCallPtr:
 			info := bcCallInfo{site: int32(in.CallID), dst: int32(in.Dst), sym: in.Sym}
 			if in.Op == ir.OpCall {
@@ -260,7 +321,7 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 					allConst = false
 				}
 			}
-			if fuse && allConst {
+			if allConst {
 				// call-with-const-args: the argument vector is fully known
 				// at translate time.
 				info.constArgs = make([]int64, len(in.Args))
@@ -274,23 +335,25 @@ func (m *Machine) translateFunc(cf *compiledFunc, bf *bcFunc, fuse bool, globalA
 				op = bcCallPtr
 				target = operand(in.A)
 			}
-			emit(pc, bcInstr{op: op, a: target, aux: int32(len(bf.calls))})
+			emit(pc, pc, bcInstr{op: op, a: target, aux: int32(len(bf.calls))})
 			bf.calls = append(bf.calls, info)
 		case ir.OpRet:
 			if in.A.Kind == ir.VKNone {
-				emit(pc, bcInstr{op: bcRetVoid})
+				emit(pc, pc, bcInstr{op: bcRetVoid})
 			} else {
-				emit(pc, bcInstr{op: bcRet, a: operand(in.A)})
+				emit(pc, pc, bcInstr{op: bcRet, a: operand(in.A)})
 			}
 		default:
-			emit(pc, bcInstr{op: bcBadOp, aux: symIdx(in.Op.String())})
+			emit(pc, pc, bcInstr{op: bcBadOp, aux: symIdx(in.Op.String())})
 		}
 	}
-	irToBC[len(code)] = int32(len(bf.code))
-	emit(len(code), bcInstr{op: bcEnd})
+	bf.code = append(bf.code, bcInstr{op: bcEnd})
+	bf.origPC = append(bf.origPC, int32(len(code)))
 
-	for _, p := range patches {
-		bf.code[p.bcPC].aux = irToBC[p.irTarget]
+	for i := range bf.code {
+		if in := &bf.code[i]; isBranchBC(in.op) {
+			in.aux = irToBC[in.aux]
+		}
 	}
 	bf.numRegs = fn.NumRegs + len(bf.consts)
 }

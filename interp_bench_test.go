@@ -105,13 +105,15 @@ func dispatchMachine(tb testing.TB, src, engine string) (*interp.Machine, *inter
 
 // BenchmarkInterpDispatch is the dispatch microbenchmark suite: each cost
 // center on each engine, reusing one Machine per sub-benchmark the way
-// the profiling pipeline does. ReportAllocs makes the steady-state
-// allocation behaviour part of the metric (the bytecode engine's is
-// asserted zero by TestBytecodeDispatchZeroAlloc).
+// the profiling pipeline does. Sub-benchmarks are named
+// interp.run/<center>/<engine> after the perfbench layer they time.
+// ReportAllocs makes the steady-state allocation behaviour part of the
+// metric (the bytecode engine's is asserted zero by
+// TestBytecodeDispatchZeroAlloc).
 func BenchmarkInterpDispatch(b *testing.B) {
 	for _, prog := range dispatchProgs {
 		for _, engine := range []string{interp.EngineBytecode, interp.EngineSwitch} {
-			b.Run(prog.name+"/"+engine, func(b *testing.B) {
+			b.Run("interp.run/"+prog.name+"/"+engine, func(b *testing.B) {
 				m, env, st := dispatchMachine(b, prog.src, engine)
 				ilPerRun := st.IL
 				b.ReportAllocs()
